@@ -1,16 +1,25 @@
-"""Exact arithmetic in the golden field and its square-root extension.
+"""Exact arithmetic in the quartic field Q(sqrt(phi)).
 
-``GoldenScalar`` represents a + b*phi with rational a, b, where phi is the
-golden ratio (phi**2 = phi + 1).  ``GoldenExt`` adjoins sqrt(phi) and holds
-u + v*sqrt(phi) with GoldenScalar u, v.  All operations are exact; floats
-appear only through the explicit ``to_float`` conversions.
+Every element is stored as five integers (c0, c1, c2, c3, d) meaning
+(c0 + c1*a + c2*a**2 + c3*a**3) / d, where a = sqrt(phi) satisfies
+a**4 = a**2 + 1, d > 0 and gcd(c0, c1, c2, c3, d) = 1.  That normal form
+is unique, so equality and hashing compare integers.
+
+``GoldenExt`` is the whole field, written u + v*sqrt(phi) with u, v in
+Q(phi).  ``GoldenScalar`` is its subfield Q(phi), the elements with
+c1 = c3 = 0, written a + b*phi (phi = a**2); scalar operands give
+scalar results.  A rational element hashes as the equal ``Fraction``,
+and an element of Q(phi) hashes alike as either class.  Floats appear
+only through the explicit ``to_float`` conversion.
 """
 from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd
 from typing import Union
 
 PHI_FLOAT: float = (1.0 + math.sqrt(5.0)) / 2.0
@@ -19,259 +28,162 @@ SQRT_PHI_FLOAT: float = math.sqrt(PHI_FLOAT)
 ScalarLike = Union[int, Fraction, "GoldenScalar"]
 ExtLike = Union[int, Fraction, "GoldenScalar", "GoldenExt"]
 
+_HASH = sys.hash_info
 
-@total_ordering
-class GoldenScalar:
-    """a + b*phi with a, b rational, kept in lowest terms by Fraction."""
 
-    __slots__ = ("a", "b")
+def _sign_q_phi(a: int, b: int) -> int:
+    """Sign of a + b*phi, from 2(a + b*phi) = s + b*sqrt5 with s = 2a + b."""
+    s = 2 * a + b
+    ss, sb = (s > 0) - (s < 0), (b > 0) - (b < 0)
+    if ss == sb or sb == 0:
+        return ss
+    if ss == 0:
+        return sb
+    # opposite signs; s^2 = 5 b^2 has no solution with b != 0
+    return ss if s * s > 5 * b * b else sb
 
-    def __init__(self, a: ScalarLike = 0, b: int | Fraction = 0) -> None:
-        if isinstance(a, GoldenScalar):
-            if b:
-                raise ValueError("cannot pass b alongside a GoldenScalar")
-            object.__setattr__(self, "a", a.a)
-            object.__setattr__(self, "b", a.b)
-            return
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GoldenScalar is immutable")
+def _norm_parts(c0: int, c1: int, c2: int, c3: int) -> tuple[int, int]:
+    """(n0, n2) with u^2 - v^2*phi = n0 + n2*phi for u = c0 + c2*phi, v = c1 + c3*phi."""
+    t = 2 * c1 * c3 + c3 * c3
+    return (c0 * c0 + c2 * c2 - t,
+            2 * c0 * c2 + c2 * c2 - c1 * c1 - t - c3 * c3)
 
-    @staticmethod
-    def _coerce(other: object) -> "GoldenScalar | None":
-        if isinstance(other, GoldenScalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GoldenScalar(other)
-        return None
 
-    def __add__(self, other: object) -> "GoldenScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GoldenScalar(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "GoldenScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GoldenScalar(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other: object) -> "GoldenScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self) -> "GoldenScalar":
-        return GoldenScalar(-self.a, -self.b)
-
-    def __mul__(self, other: object) -> "GoldenScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # (a1 + b1 phi)(a2 + b2 phi), phi^2 = phi + 1
-        return GoldenScalar(
-            self.a * o.a + self.b * o.b,
-            self.a * o.b + self.b * o.a + self.b * o.b,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "GoldenScalar":
-        """Galois conjugate: phi -> 1 - phi."""
-        return GoldenScalar(self.a + self.b, -self.b)
-
-    def field_norm(self) -> Fraction:
-        """Product with the conjugate; rational, zero only at zero."""
-        return self.a * self.a + self.a * self.b - self.b * self.b
-
-    def inverse(self) -> "GoldenScalar":
-        n = self.field_norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero GoldenScalar")
-        c = self.conjugate()
-        return GoldenScalar(c.a / n, c.b / n)
-
-    def __truediv__(self, other: object) -> "GoldenScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other: object) -> "GoldenScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k: int) -> "GoldenScalar":
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = GoldenScalar(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __lt__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
-
-    def sign(self) -> int:
-        """Exact sign of the real value a + b*(1+sqrt5)/2.
-
-        Writing 2x = s + t*sqrt5 with s = 2a + b, t = b, the sign follows
-        from the signs of s and t, comparing s^2 against 5 t^2 when they
-        disagree.  No floating point is involved.
-        """
-        s = 2 * self.a + self.b
-        t = self.b
-        if t == 0:
-            return 0 if s == 0 else (1 if s > 0 else -1)
-        if s == 0:
-            return 1 if t > 0 else -1
-        if s > 0 and t > 0:
-            return 1
-        if s < 0 and t < 0:
-            return -1
-        d = s * s - 5 * t * t
-        if d == 0:
-            # impossible for rational s, t not both zero
-            raise ArithmeticError("sqrt5 comparison degenerated")
-        if s > 0:
-            return 1 if d > 0 else -1
-        return -1 if d > 0 else 1
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def is_integer(self) -> bool:
-        return self.b == 0 and self.a.denominator == 1
-
-    def sqrt5_parts(self) -> tuple[Fraction, Fraction]:
-        """(p, q) with value p + q*sqrt5."""
-        return (self.a + self.b / 2, self.b / 2)
-
-    def to_float(self) -> float:
-        return float(self.a) + float(self.b) * PHI_FLOAT
-
-    def __str__(self) -> str:
-        return _render_terms([(self.a, ""), (self.b, "phi")])
-
-    def __repr__(self) -> str:
-        return f"GoldenScalar({self.a!r}, {self.b!r})"
+def _even(x: object) -> tuple[int, int, int]:
+    """(n0, n2, d) with x = (n0 + n2*phi)/d, for a rational or GoldenScalar x."""
+    if isinstance(x, GoldenScalar):
+        c0, _, c2, _, d = x._n
+        return c0, c2, d
+    if type(x) is int:
+        return x, 0, 1
+    f = Fraction(x)  # raises TypeError on a sqrt(phi) component
+    return f.numerator, 0, f.denominator
 
 
 @total_ordering
 class GoldenExt:
-    """u + v*sqrt(phi) with GoldenScalar u, v; (sqrt phi)^2 = phi."""
+    """u + v*sqrt(phi) with u, v in Q(phi); (sqrt phi)^2 = phi."""
 
-    __slots__ = ("u", "v")
+    __slots__ = ("_n",)
 
     def __init__(self, u: ExtLike = 0, v: ScalarLike = 0) -> None:
-        if isinstance(u, GoldenExt):
-            if v:
-                raise ValueError("cannot pass v alongside a GoldenExt")
-            object.__setattr__(self, "u", u.u)
-            object.__setattr__(self, "v", u.v)
+        if isinstance(u, GoldenExt) and not v:
+            _set_n(self, u._n)
             return
-        object.__setattr__(self, "u", GoldenScalar(u))
-        object.__setattr__(self, "v", GoldenScalar(v))
+        if isinstance(u, GoldenExt) and not isinstance(u, GoldenScalar):
+            raise ValueError("cannot pass v alongside a GoldenExt")
+        u0, u2, ud = _even(u)
+        v0, v2, vd = _even(v)
+        _set_n(self, _normal(u0 * vd, v0 * ud, u2 * vd, v2 * ud, ud * vd))
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GoldenExt is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def _coerce(other: object) -> "GoldenExt | None":
-        if isinstance(other, GoldenExt):
-            return other
-        if isinstance(other, (int, Fraction, GoldenScalar)):
-            return GoldenExt(other)
-        return None
+    @property
+    def u(self) -> "GoldenScalar":
+        c0, _, c2, _, d = self._n
+        return _make(GoldenScalar, c0, 0, c2, 0, d)
+
+    @property
+    def v(self) -> "GoldenScalar":
+        _, c1, _, c3, d = self._n
+        return _make(GoldenScalar, c1, 0, c3, 0, d)
 
     def __add__(self, other: object) -> "GoldenExt":
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return GoldenExt(self.u + o.u, self.v + o.v)
+        a0, a1, a2, a3, ad = self._n
+        b0, b1, b2, b3, bd = o._n
+        cls = type(self) if type(o) is type(self) else GoldenExt
+        if ad == bd:
+            return _make(cls, a0 + b0, a1 + b1, a2 + b2, a3 + b3, ad)
+        return _make(cls, a0 * bd + b0 * ad, a1 * bd + b1 * ad,
+                     a2 * bd + b2 * ad, a3 * bd + b3 * ad, ad * bd)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "GoldenExt":
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return GoldenExt(self.u - o.u, self.v - o.v)
+        a0, a1, a2, a3, ad = self._n
+        b0, b1, b2, b3, bd = o._n
+        cls = type(self) if type(o) is type(self) else GoldenExt
+        if ad == bd:
+            return _make(cls, a0 - b0, a1 - b1, a2 - b2, a3 - b3, ad)
+        return _make(cls, a0 * bd - b0 * ad, a1 * bd - b1 * ad,
+                     a2 * bd - b2 * ad, a3 * bd - b3 * ad, ad * bd)
 
     def __rsub__(self, other: object) -> "GoldenExt":
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __neg__(self) -> "GoldenExt":
-        return GoldenExt(-self.u, -self.v)
+        c0, c1, c2, c3, d = self._n
+        return _make(type(self), -c0, -c1, -c2, -c3, d)
 
     def __mul__(self, other: object) -> "GoldenExt":
-        o = self._coerce(other)
+        a0, a1, a2, a3, ad = self._n
+        if type(other) is int:
+            return _make(type(self), a0 * other, a1 * other, a2 * other, a3 * other, ad)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        phi = GoldenScalar(0, 1)
-        return GoldenExt(
-            self.u * o.u + self.v * o.v * phi,
-            self.u * o.v + self.v * o.u,
+        b0, b1, b2, b3, bd = o._n
+        # degree-6 product, reduced by a^4 = a^2 + 1, a^5 = a^3 + a, a^6 = 2a^2 + 1
+        p4 = a1 * b3 + a2 * b2 + a3 * b1
+        p5 = a2 * b3 + a3 * b2
+        p6 = a3 * b3
+        return _make(
+            type(self) if type(o) is type(self) else GoldenExt,
+            a0 * b0 + p4 + p6,
+            a0 * b1 + a1 * b0 + p5,
+            a0 * b2 + a1 * b1 + a2 * b0 + p4 + 2 * p6,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + p5,
+            ad * bd,
         )
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "GoldenExt":
         """sqrt(phi) -> -sqrt(phi)."""
-        return GoldenExt(self.u, -self.v)
+        c0, c1, c2, c3, d = self._n
+        return _make(type(self), c0, -c1, c2, -c3, d)
 
-    def ext_norm(self) -> GoldenScalar:
+    def ext_norm(self) -> "GoldenScalar":
         """u^2 - v^2*phi; lies in the golden field, zero only at zero."""
-        phi = GoldenScalar(0, 1)
-        return self.u * self.u - self.v * self.v * phi
+        c0, c1, c2, c3, d = self._n
+        n0, n2 = _norm_parts(c0, c1, c2, c3)
+        return _make(GoldenScalar, n0, 0, n2, 0, d * d)
 
     def inverse(self) -> "GoldenExt":
-        n = self.ext_norm()
-        if not n:
-            raise ZeroDivisionError("division by zero GoldenExt")
-        ninv = n.inverse()
-        return GoldenExt(self.u * ninv, -self.v * ninv)
+        """x^-1 = conj(x) * N' / (N N') with N = x conj(x) in Q(phi), N' its conjugate."""
+        c0, c1, c2, c3, d = self._n
+        n0, n2 = _norm_parts(c0, c1, c2, c3)
+        r = n0 * n0 + n0 * n2 - n2 * n2  # N N', a rational integer
+        if r == 0:
+            raise ZeroDivisionError(f"division by zero {type(self).__name__}")
+        m0, m2 = (n0 + n2) * d, -n2 * d  # d * N'
+        # (c0 + c2 phi) N' and (-c1 - c3 phi) N', with phi^2 = phi + 1
+        return _make(
+            type(self),
+            c0 * m0 + c2 * m2, -(c1 * m0 + c3 * m2),
+            c0 * m2 + c2 * m0 + c2 * m2, -(c1 * m2 + c3 * m0 + c3 * m2),
+            r,
+        )
 
     def __truediv__(self, other: object) -> "GoldenExt":
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other: object) -> "GoldenExt":
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
@@ -281,7 +193,7 @@ class GoldenExt:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        result = GoldenExt(1)
+        result = _make(type(self), 1, 0, 0, 0, 1)
         base = self
         while k:
             if k & 1:
@@ -291,64 +203,148 @@ class GoldenExt:
         return result
 
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.u == o.u and self.v == o.v
+        if isinstance(other, GoldenExt):
+            return self._n == other._n
+        if isinstance(other, (int, Fraction)):
+            return self._n == (other.numerator, 0, 0, 0, other.denominator)
+        return NotImplemented
 
     def __lt__(self, other: object) -> bool:
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return (self - o).sign() < 0
 
     def __hash__(self) -> int:
-        return hash((self.u, self.v))
+        c0, c1, c2, c3, d = self._n
+        if c1 or c2 or c3:
+            return hash(self._n)
+        if d == 1:
+            return hash(c0)
+        # the hash of Fraction(c0, d), computed without building it
+        try:
+            h = hash(hash(abs(c0)) * pow(d, -1, _HASH.modulus))
+        except ValueError:
+            h = _HASH.inf
+        h = h if c0 >= 0 else -h
+        return -2 if h == -1 else h
 
     def __bool__(self) -> bool:
-        return bool(self.u) or bool(self.v)
+        c0, c1, c2, c3, _ = self._n
+        return bool(c0 or c1 or c2 or c3)
 
     def sign(self) -> int:
-        """Exact sign of u + v*sqrt(phi); sqrt(phi) is positive real."""
-        su = self.u.sign()
-        sv = self.v.sign()
-        if sv == 0:
-            return su
-        if su == 0:
-            return sv
-        if su == sv:
-            return su
-        # opposite signs: compare u^2 against v^2*phi
-        phi = GoldenScalar(0, 1)
-        d = (self.u * self.u - self.v * self.v * phi).sign()
-        if d == 0:
-            # phi is not a square in the golden field
-            raise ArithmeticError("sqrt(phi) comparison degenerated")
-        return su if d > 0 else sv
+        """Exact sign of u + v*sqrt(phi); integer arithmetic only."""
+        c0, c1, c2, c3, _ = self._n
+        su = _sign_q_phi(c0, c2)
+        sv = _sign_q_phi(c1, c3)
+        if su == 0 or sv == 0 or su == sv:
+            return su or sv
+        # opposite signs: compare u^2 against v^2*phi; phi is no square in Q(phi)
+        return su if _sign_q_phi(*_norm_parts(c0, c1, c2, c3)) > 0 else sv
 
     def is_scalar(self) -> bool:
-        return not self.v
+        _, c1, _, c3, _ = self._n
+        return not (c1 or c3)
 
-    def scalar_part(self) -> GoldenScalar:
-        if self.v:
+    def scalar_part(self) -> "GoldenScalar":
+        if not self.is_scalar():
             raise ValueError(f"{self} has a sqrt(phi) component")
         return self.u
 
     def to_float(self) -> float:
-        return self.u.to_float() + self.v.to_float() * SQRT_PHI_FLOAT
+        c0, c1, c2, c3, d = self._n
+        # a + b*PHI_FLOAT for u and v, then u + v*SQRT_PHI_FLOAT: hulls see the same floats
+        return (c0 / d + (c2 / d) * PHI_FLOAT) + (c1 / d + (c3 / d) * PHI_FLOAT) * SQRT_PHI_FLOAT
 
     def __str__(self) -> str:
-        return _render_terms(
-            [
-                (self.u.a, ""),
-                (self.u.b, "phi"),
-                (self.v.a, "sqrt(phi)"),
-                (self.v.b, "phi*sqrt(phi)"),
-            ]
-        )
+        c0, c1, c2, c3, d = self._n
+        return _render_terms([
+            (Fraction(c0, d), ""),
+            (Fraction(c2, d), "phi"),
+            (Fraction(c1, d), "sqrt(phi)"),
+            (Fraction(c3, d), "phi*sqrt(phi)"),
+        ])
 
     def __repr__(self) -> str:
         return f"GoldenExt({self.u!r}, {self.v!r})"
+
+
+class GoldenScalar(GoldenExt):
+    """a + b*phi with a, b rational: the elements of GoldenExt with v = 0."""
+
+    __slots__ = ()
+
+    def __init__(self, a: ScalarLike = 0, b: int | Fraction = 0) -> None:
+        if isinstance(a, GoldenScalar):
+            if b:
+                raise ValueError("cannot pass b alongside a GoldenScalar")
+            _set_n(self, a._n)
+            return
+        a, b = Fraction(a), Fraction(b)
+        _set_n(self, _normal(a.numerator * b.denominator, 0, b.numerator * a.denominator,
+                             0, a.denominator * b.denominator))
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._n[0], self._n[4])
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._n[2], self._n[4])
+
+    def conjugate(self) -> "GoldenScalar":
+        """Galois conjugate: phi -> 1 - phi."""
+        c0, _, c2, _, d = self._n
+        return _make(GoldenScalar, c0 + c2, 0, -c2, 0, d)
+
+    def field_norm(self) -> Fraction:
+        """Product with the conjugate; rational, zero only at zero."""
+        c0, _, c2, _, d = self._n
+        return Fraction(c0 * c0 + c0 * c2 - c2 * c2, d * d)
+
+    def is_rational(self) -> bool:
+        return self._n[2] == 0
+
+    def is_integer(self) -> bool:
+        return self._n[2] == 0 and self._n[4] == 1
+
+    def sqrt5_parts(self) -> tuple[Fraction, Fraction]:
+        """(p, q) with value p + q*sqrt5."""
+        c0, _, c2, _, d = self._n
+        return (Fraction(2 * c0 + c2, 2 * d), Fraction(c2, 2 * d))
+
+    def __repr__(self) -> str:
+        return f"GoldenScalar({self.a!r}, {self.b!r})"
+
+
+_new = object.__new__
+_set_n = GoldenExt._n.__set__
+
+
+def _make(cls: type, c0: int, c1: int, c2: int, c3: int, d: int) -> GoldenExt:
+    x = _new(cls)
+    _set_n(x, _normal(c0, c1, c2, c3, d))
+    return x
+
+
+def _normal(c0: int, c1: int, c2: int, c3: int, d: int) -> tuple[int, int, int, int, int]:
+    """Divide out gcd(c0, c1, c2, c3, d) and make d positive."""
+    if d != 1:
+        g = gcd(c0, c1, c2, c3, d)
+        if d < 0:
+            g = -g
+        if g != 1:
+            return c0 // g, c1 // g, c2 // g, c3 // g, d // g
+    return c0, c1, c2, c3, d
+
+
+def _coerce(other: object) -> GoldenExt | None:
+    if isinstance(other, GoldenExt):
+        return other
+    if isinstance(other, (int, Fraction)):
+        return _make(GoldenScalar, other.numerator, 0, 0, 0, other.denominator)
+    return None
 
 
 ZERO = GoldenScalar(0)
@@ -408,7 +404,7 @@ def parse_scalar(text: str) -> GoldenExt:
     """Parse a linear combination of 1, phi, sqrt(phi), phi*sqrt(phi).
 
     Terms are joined with + or -, each a '*'-separated product of rational
-    literals (p or p/q), 'phi', and 'sqrt(phi)'.
+    literals (p or p/q with q > 0), 'phi', and 'sqrt(phi)'.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -442,7 +438,10 @@ def parse_scalar(text: str) -> GoldenExt:
             elif tok == "sqrt(phi)":
                 term = term * SQRT_PHI
             else:
-                term = term * Fraction(tok)
+                num, _, den = tok.partition("/")
+                if den and int(den) == 0:
+                    raise ValueError(f"zero denominator in {text!r}")
+                term = term * _make(GoldenScalar, int(num), 0, 0, 0, int(den or 1))
             expect_factor = False
             i += 1
         if expect_factor:

@@ -23,7 +23,7 @@ class SingularMatrixError(ValueError):
 
 
 def _entry(value: EntryLike) -> GoldenExt:
-    if isinstance(value, GoldenExt):
+    if type(value) is GoldenExt:
         return value
     if isinstance(value, (int, Fraction, GoldenScalar)):
         return GoldenExt(value)

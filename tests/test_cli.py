@@ -186,6 +186,19 @@ class TestDump:
             assert ExactMatrix.from_literal(out).n in (4, 8)
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("command", ("roots", "dump"))
+    def test_zero_denominator_exits_two(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.txt"
+        path.write_text("2; 1/0\n-1; 2\n")
+        argv = ("roots", "--matrix", str(path)) if command == "roots" else ("dump", str(path))
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "zero denominator" in captured.err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

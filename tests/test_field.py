@@ -129,6 +129,29 @@ class TestGoldenExt:
         assert SQRT_PHI ** -2 == GoldenExt(PHI.inverse())
 
 
+class TestHashContract:
+    def test_rational_members_collapse(self):
+        assert len({GoldenExt(3), GoldenScalar(3), 3, Fraction(3)}) == 1
+        assert len({GoldenExt(HALF), HALF, Fraction(1, 2)}) == 1
+        assert len({GoldenExt(PHI), PHI}) == 1
+
+    @given(rationals, scalars, exts, exts)
+    @settings(max_examples=150)
+    def test_equal_values_hash_equal(self, q, s, x, y):
+        # one value in each of its types
+        assert GoldenScalar(q) == q == GoldenExt(q)
+        assert hash(GoldenScalar(q)) == hash(q) == hash(GoldenExt(q))
+        if q.denominator == 1:
+            assert hash(GoldenScalar(q)) == hash(int(q))
+        assert GoldenExt(s) == s and hash(GoldenExt(s)) == hash(s)
+        # one value reached along two routes
+        z = (x + y) - y
+        assert z == x and hash(z) == hash(x)
+        if y:
+            w = (x * y) / y
+            assert w == x and hash(w) == hash(x)
+
+
 class TestRendering:
     def test_sqrt5_form(self):
         assert sqrt5_form(GoldenScalar(3)) == "3"
@@ -144,7 +167,7 @@ class TestRendering:
         assert parse_scalar("1/2*phi*sqrt(phi)") == GoldenExt(0, PHI * HALF)
 
     def test_parse_rejects_garbage(self):
-        for bad in ("", "+", "2*", "phi phi", "sqrt(2)", "1..2"):
+        for bad in ("", "+", "2*", "phi phi", "sqrt(2)", "1..2", "1/0", "phi*3/00"):
             with pytest.raises(ValueError):
                 parse_scalar(bad)
 

@@ -1,0 +1,82 @@
+"""Field arithmetic against an independent oracle.
+
+sympy computes in Q[a]/(a^4 - a^2 - 1), a = sqrt(phi): polynomials of
+degree < 4 over QQ, reduced by the minimal polynomial of sqrt(phi).  Signs
+are checked against a 50-digit evaluation at the real root sqrt(phi).
+"""
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+sympy = pytest.importorskip("sympy")
+
+from phi8.field import GoldenExt, GoldenScalar  # noqa: E402
+
+A = sympy.Symbol("a")
+MODULUS = sympy.Poly(A**4 - A**2 - 1, A, domain=sympy.QQ)
+SQRT_PHI = sympy.sqrt((1 + sympy.sqrt(5)) / 2)
+
+rationals = st.fractions(
+    min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
+)
+scalars = st.builds(GoldenScalar, rationals, rationals)
+exts = st.builds(GoldenExt, scalars, scalars)
+
+
+def to_poly(x: GoldenExt) -> sympy.Poly:
+    """The coefficients of 1, a, a^2, a^3, read through the public API."""
+    coeffs = (x.v.b, x.u.b, x.v.a, x.u.a)  # a^3 first
+    return sympy.Poly.from_list(
+        [sympy.Rational(c.numerator, c.denominator) for c in coeffs], A, domain=sympy.QQ
+    )
+
+
+def reduced(p: sympy.Poly) -> sympy.Poly:
+    return p.rem(MODULUS)
+
+
+def numeric_sign(x: GoldenExt) -> int:
+    return int(sympy.sign(sympy.N(to_poly(x).as_expr().subs(A, SQRT_PHI), 50)))
+
+
+@given(exts, exts)
+@settings(max_examples=150, deadline=None)
+def test_add_and_mul_match_polynomial_arithmetic(x, y):
+    px, py = to_poly(x), to_poly(y)
+    assert to_poly(x + y) == reduced(px + py)
+    assert to_poly(x - y) == reduced(px - py)
+    assert to_poly(x * y) == reduced(px * py)
+
+
+@given(scalars, scalars)
+@settings(max_examples=150, deadline=None)
+def test_scalar_products_stay_scalar(x, y):
+    product = x * y
+    assert isinstance(product, GoldenScalar)
+    assert to_poly(product) == reduced(to_poly(x) * to_poly(y))
+
+
+@given(exts)
+@settings(max_examples=150, deadline=None)
+def test_inverse_matches_polynomial_inverse(x):
+    if not x:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    assert to_poly(x.inverse()) == to_poly(x).invert(MODULUS)
+
+
+@given(exts)
+@settings(max_examples=150, deadline=None)
+def test_sign_matches_50_digit_value(x):
+    assert x.sign() == numeric_sign(x)
+
+
+@given(exts, exts)
+@settings(max_examples=150, deadline=None)
+def test_sign_of_near_cancellation(x, y):
+    # a difference of two nearby products probes the opposite-sign branches
+    z = x * y - y * x.conjugate()
+    assert z.sign() == numeric_sign(z)
