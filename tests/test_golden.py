@@ -16,6 +16,8 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "verify": (("verify",), ()),
     "verify_json": (("verify", "--json"), ()),
+    "verify_only_powers": (("verify", "--only", "powers"), ()),
+    "powers_12": (("powers", "-n", "12"), ()),
     "powers_37_json": (("powers", "-n", "37", "--json"), ()),
     "roots_e8_h30": (
         ("roots", "--max-height", "30", "--json",
@@ -26,7 +28,9 @@ CASES = {
         ("roots", "--matrix", "cmU", "--mode", "pair-coupling", "--max-height", "8"),
         (),
     ),
+    "lattice": (("lattice",), ()),
     "lattice_json": (("lattice", "--json"), ()),
+    "lattice_vertex_coords_json": (("lattice", "--check", "vertex-coords", "--json"), ()),
     "project_all": (("project", "--all"), ()),
     "dump_U": (("dump", "U"), ()),
     "dump_cmU": (("dump", "cmU"), ()),
