@@ -47,40 +47,44 @@ def _out_path(path: str) -> Path:
     return p
 
 
-def _report_lines(reports) -> tuple[list[str], bool]:
+def _report_lines(reports) -> list[str]:
     lines = []
-    ok = True
     for rep in reports:
         if rep.informational:
-            status = "INFO"
             verdict = "holds" if rep.holds else "deviates"
             extra = ""
             if not rep.holds and "max_abs_residual" in rep.details:
                 extra = f" (max residual {rep.details['max_abs_residual']:.6f})"
-            lines.append(f"{status} {rep.name}: {verdict}{extra}")
-            continue
-        if rep.holds:
+            lines.append(f"INFO {rep.name}: {verdict}{extra}")
+        elif rep.holds:
             lines.append(f"PASS {rep.name}")
         else:
-            ok = False
             w = rep.witness
             where = f" at ({w.row},{w.col}) expected {w.expected} got {w.actual}" if w else ""
             lines.append(f"FAIL {rep.name}{where}")
-    return lines, ok
+    return lines
+
+
+def _exit_code(reports) -> int:
+    """1 iff a non-informational check fails."""
+    return 0 if all(r.holds or r.informational for r in reports) else 1
+
+
+def _emit_reports(reports, as_json: bool, keys: tuple[str, ...] | None = None) -> int:
+    """Write the reports as JSON (optionally only ``keys``) or as text lines."""
+    if as_json:
+        dicts = [r.to_dict() for r in reports]
+        if keys:
+            dicts = [{k: d[k] for k in keys} for d in dicts]
+        sys.stdout.write(_json_dump(dicts))
+    else:
+        sys.stdout.write("\n".join(_report_lines(reports)) + "\n")
+    return _exit_code(reports)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.only:
-        reports = identities.run_group(args.only)
-    else:
-        reports = identities.run_all()
-    if args.json:
-        sys.stdout.write(_json_dump([r.to_dict() for r in reports]))
-    else:
-        lines, _ = _report_lines(reports)
-        sys.stdout.write("\n".join(lines) + "\n")
-    ok = all(r.holds for r in reports if not r.informational)
-    return 0 if ok else 1
+    reports = identities.run_group(args.only) if args.only else identities.run_all()
+    return _emit_reports(reports, args.json)
 
 
 def cmd_powers(args: argparse.Namespace) -> int:
@@ -95,14 +99,13 @@ def cmd_powers(args: argparse.Namespace) -> int:
         sys.stdout.write(_json_dump(payload))
     else:
         n = pattern.n
-        sys.stdout.write(
-            f"cmU^{n} + cmU^-{n} = ({sqrt5_form(pattern.sum_scalar)}) * I\n"
-            f"cmU^{n} - cmU^-{n} = ({sqrt5_form(pattern.diff_scalar)}) * J\n"
-        )
-        lines, _ = _report_lines(pattern.reports)
+        lines = [
+            f"cmU^{n} + cmU^-{n} = ({sqrt5_form(pattern.sum_scalar)}) * I",
+            f"cmU^{n} - cmU^-{n} = ({sqrt5_form(pattern.diff_scalar)}) * J",
+            *_report_lines(pattern.reports),
+        ]
         sys.stdout.write("\n".join(lines) + "\n")
-    ok = all(r.holds for r in pattern.reports)
-    return 0 if ok else 1
+    return _exit_code(pattern.reports)
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
@@ -139,92 +142,10 @@ def cmd_roots(args: argparse.Namespace) -> int:
     return 0
 
 
-LATTICE_CHECKS = ("roots", "hamming", "construction-a", "hadamard-map", "vertex-coords")
-
-
-def _lattice_results(which: str) -> list[tuple[str, bool, dict]]:
-    results: list[tuple[str, bool, dict]] = []
-    if which in ("roots", "all"):
-        roots = lattice.gen_e8_roots()
-        norms_two = all(lattice.norm_sq(v) == 2 for v in roots)
-        pairs = lattice.count_contact_pairs(roots)
-        results.append(
-            (
-                "root_count_240",
-                len(roots) == 240,
-                {"count": len(roots)},
-            )
-        )
-        results.append(("root_norms_two", norms_two, {}))
-        results.append(
-            ("contact_pairs_6720", pairs == 6720, {"count": pairs})
-        )
-    if which in ("hamming", "all"):
-        code = lattice.hamming84()
-        we = code.weight_enumerator()
-        results.append(
-            (
-                "hamming_weight_enumerator",
-                we == {0: 1, 4: 14, 8: 1},
-                {"enumerator": {str(k): v for k, v in sorted(we.items())}},
-            )
-        )
-        results.append(("hamming_min_distance_4", code.min_distance() == 4, {}))
-        results.append(("hamming_self_dual", code.is_self_dual(), {}))
-        results.append(("hamming_doubly_even", code.is_doubly_even(), {}))
-    if which in ("construction-a", "all"):
-        rep = lattice.construction_a()
-        results.append(("lattice_even", rep.is_even, {}))
-        results.append(
-            ("lattice_unimodular", rep.gram_det == 1, {"det": str(rep.gram_det)})
-        )
-        results.append(("lattice_positive_definite", rep.is_positive_definite, {}))
-        results.append(
-            (
-                "lattice_minimal_vectors_240",
-                rep.minimal_vector_count == 240,
-                {"count": rep.minimal_vector_count},
-            )
-        )
-    if which in ("hadamard-map", "all"):
-        corr = lattice.hadamard_code_correspondence()
-        results.append(
-            ("hadamard_weight_enumerator_match", corr.weight_enumerator_matches, {})
-        )
-        results.append(
-            (
-                "hadamard_column_permutation",
-                corr.holds,
-                {"permutation": list(corr.permutation) if corr.permutation else None},
-            )
-        )
-    if which in ("vertex-coords", "all"):
-        check = lattice.check_vertex_coords()
-        results.append(
-            ("vertex_count_240", check.coord_count == 240, {"count": check.coord_count})
-        )
-        results.append(("vertex_norms_two", check.norms_all_two, {}))
-        results.append(("vertex_set_matches_roots", check.set_matches_roots, {}))
-        results.append(
-            ("vertex_inner_histogram_matches", check.inner_histogram_matches, {})
-        )
-    return results
-
-
 def cmd_lattice(args: argparse.Namespace) -> int:
-    results = _lattice_results(args.check)
-    if args.json:
-        payload = [
-            {"name": name, "holds": holds, "details": details}
-            for name, holds, details in results
-        ]
-        sys.stdout.write(_json_dump(payload))
-    else:
-        lines = [
-            f"{'PASS' if holds else 'FAIL'} {name}" for name, holds, _ in results
-        ]
-        sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if all(h for _, h, _ in results) else 1
+    groups = lattice.CHECK_GROUPS if args.check == "all" else (args.check,)
+    reports = [r for g in groups for r in lattice.CHECK_GROUPS[g]()]
+    return _emit_reports(reports, args.json, ("name", "holds", "details"))
 
 
 def _parse_dims(text: str) -> tuple[int, int, int]:
@@ -334,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lattice = sub.add_parser("lattice", help="E8 lattice and code checks")
     p_lattice.add_argument(
-        "--check", choices=LATTICE_CHECKS + ("all",), default="all"
+        "--check", choices=(*lattice.CHECK_GROUPS, "all"), default="all"
     )
     p_lattice.add_argument("--json", action="store_true")
     p_lattice.set_defaults(func=cmd_lattice)

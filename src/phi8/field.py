@@ -80,6 +80,9 @@ class GoldenExt:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return _make, (type(self), *self._n)
+
     @property
     def u(self) -> "GoldenScalar":
         c0, _, c2, _, d = self._n

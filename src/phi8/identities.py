@@ -257,23 +257,6 @@ def verify_product_identities() -> tuple[IdentityReport, ...]:
     return reports
 
 
-def run_all() -> list[IdentityReport]:
-    """Every verifier in a fixed order; informational probes included."""
-    reports: list[IdentityReport] = []
-    reports.extend(verify_product_identities())
-    reports.append(verify_golden_cartan())
-    reports.append(verify_identity_sum())
-    reports.extend(verify_row_reversed_swap())
-    for n in range(1, 13):
-        reports.extend(verify_power_pattern(n).reports)
-    for n in (1, 3, 5, 7, 9):
-        reports.extend(verify_odd_power_forms(n))
-    reports.extend(verify_bracket_properties())
-    reports.extend(verify_char_polys())
-    reports.append(schlafli_probe())
-    return reports
-
-
 VERIFIER_GROUPS = {
     "products": verify_product_identities,
     "golden-cartan": lambda: [verify_golden_cartan(), verify_identity_sum()],
@@ -289,5 +272,9 @@ VERIFIER_GROUPS = {
 def run_group(name: str) -> list[IdentityReport]:
     if name not in VERIFIER_GROUPS:
         raise ValueError(f"unknown verifier group {name!r}; choose from {sorted(VERIFIER_GROUPS)}")
-    result = VERIFIER_GROUPS[name]()
-    return list(result) if not isinstance(result, IdentityReport) else [result]
+    return list(VERIFIER_GROUPS[name]())
+
+
+def run_all() -> list[IdentityReport]:
+    """Every verifier group in registry order; informational probes included."""
+    return [r for name in VERIFIER_GROUPS for r in run_group(name)]

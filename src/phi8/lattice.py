@@ -2,7 +2,8 @@
 
 Everything here is exact: roots are Fraction tuples, codewords are bit
 tuples, and the Construction A lattice carries the 1/sqrt2 scaling as a
-squared factor so the Gram matrix stays rational.
+squared factor so the Gram matrix stays rational.  ``CHECK_GROUPS``
+reports the checks of ``phi8 lattice`` as ``IdentityReport`` values.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .constants import build_cmE8, build_hadamard, srE8_rows
+from .identities import IdentityReport
 from .matrix import ExactMatrix
 from .roots import EnumerationRule, enumerate_roots
 
@@ -287,14 +289,6 @@ def _find_column_permutation(
     return extend([], set())
 
 
-@dataclass(frozen=True)
-class VertexCoordCheck:
-    coord_count: int
-    norms_all_two: bool
-    set_matches_roots: bool
-    inner_histogram_matches: bool
-
-
 def e8_vertex_coords() -> list[Root]:
     """Signed images of the enumerated positive roots through srE8."""
     rule = EnumerationRule(mode="normalized-pairing", max_height=30)
@@ -310,15 +304,6 @@ def e8_vertex_coords() -> list[Root]:
         coords.append(tuple(-x for x in v))
     coords.sort()
     return coords
-
-
-def check_vertex_coords() -> VertexCoordCheck:
-    coords = e8_vertex_coords()
-    roots = gen_e8_roots()
-    norms_ok = all(norm_sq(v) == 2 for v in coords)
-    set_ok = sorted(coords) == roots
-    hist_ok = inner_product_histogram(coords) == inner_product_histogram(roots)
-    return VertexCoordCheck(len(coords), norms_ok, set_ok, hist_ok)
 
 
 def e8_height_histogram() -> dict[int, int]:
@@ -344,3 +329,70 @@ def e8_height_histogram() -> dict[int, int]:
             h = int(sum(coeffs))
             hist[h] = hist.get(h, 0) + 1
     return hist
+
+
+def check_vertex_coords() -> list[IdentityReport]:
+    """The signed srE8 images are the 240 E8 roots, pair for pair."""
+    coords = e8_vertex_coords()
+    roots = gen_e8_roots()
+    return [
+        IdentityReport("vertex_count_240", len(coords) == 240, details={"count": len(coords)}),
+        IdentityReport("vertex_norms_two", all(norm_sq(v) == 2 for v in coords)),
+        IdentityReport("vertex_set_matches_roots", sorted(coords) == roots),
+        IdentityReport("vertex_inner_histogram_matches",
+                       inner_product_histogram(coords) == inner_product_histogram(roots)),
+    ]
+
+
+def _check_roots() -> list[IdentityReport]:
+    roots = gen_e8_roots()
+    pairs = count_contact_pairs(roots)
+    return [
+        IdentityReport("root_count_240", len(roots) == 240, details={"count": len(roots)}),
+        IdentityReport("root_norms_two", all(norm_sq(v) == 2 for v in roots)),
+        IdentityReport("contact_pairs_6720", pairs == 6720, details={"count": pairs}),
+    ]
+
+
+def _check_hamming() -> list[IdentityReport]:
+    code = hamming84()
+    we = code.weight_enumerator()
+    return [
+        IdentityReport("hamming_weight_enumerator", we == {0: 1, 4: 14, 8: 1},
+                       details={"enumerator": {str(k): v for k, v in sorted(we.items())}}),
+        IdentityReport("hamming_min_distance_4", code.min_distance() == 4),
+        IdentityReport("hamming_self_dual", code.is_self_dual()),
+        IdentityReport("hamming_doubly_even", code.is_doubly_even()),
+    ]
+
+
+def _check_construction_a() -> list[IdentityReport]:
+    rep = construction_a()
+    return [
+        IdentityReport("lattice_even", rep.is_even),
+        IdentityReport("lattice_unimodular", rep.gram_det == 1,
+                       details={"det": str(rep.gram_det)}),
+        IdentityReport("lattice_positive_definite", rep.is_positive_definite),
+        IdentityReport("lattice_minimal_vectors_240", rep.minimal_vector_count == 240,
+                       details={"count": rep.minimal_vector_count}),
+    ]
+
+
+def _check_hadamard_map() -> list[IdentityReport]:
+    corr = hadamard_code_correspondence()
+    perm = list(corr.permutation) if corr.permutation else None
+    return [
+        IdentityReport("hadamard_weight_enumerator_match", corr.weight_enumerator_matches),
+        IdentityReport("hadamard_column_permutation", corr.holds,
+                       details={"permutation": perm}),
+    ]
+
+
+# `phi8 lattice --check` name -> its reports, in the order `--check all` runs them
+CHECK_GROUPS = {
+    "roots": _check_roots,
+    "hamming": _check_hamming,
+    "construction-a": _check_construction_a,
+    "hadamard-map": _check_hadamard_map,
+    "vertex-coords": check_vertex_coords,
+}

@@ -49,13 +49,12 @@ class ExactMatrix:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ExactMatrix is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.rows,)
+
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, n: int) -> "ExactMatrix":
-        return cls([[0] * n for _ in range(n)])
 
     def __getitem__(self, i: int) -> tuple[GoldenExt, ...]:
         return self.rows[i]
@@ -233,9 +232,6 @@ class ExactMatrix:
             "traceless": self.is_traceless(),
         }
 
-    def to_float_rows(self) -> list[list[float]]:
-        return [[e.to_float() for e in row] for row in self.rows]
-
     def to_literal(self) -> str:
         """Render as newline-separated rows of ';'-separated entries."""
         return "\n".join("; ".join(str(e) for e in row) for row in self.rows)
@@ -288,6 +284,9 @@ class CharPoly:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CharPoly is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.coeffs,)
 
     @property
     def degree(self) -> int:

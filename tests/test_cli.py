@@ -141,6 +141,23 @@ class TestLattice:
         assert all(entry["holds"] for entry in payload)
         names = {entry["name"] for entry in payload}
         assert "hamming_weight_enumerator" in names
+        assert all(set(entry) == {"name", "holds", "details"} for entry in payload)
+
+    def test_failing_check_exits_one(self, capsys, monkeypatch):
+        fake = [IdentityReport("broken_lattice", False)]
+        monkeypatch.setitem(cli.lattice.CHECK_GROUPS, "hamming", lambda: fake)
+        code, out = run_cli(capsys, "lattice", "--check", "hamming")
+        assert code == 1
+        assert out == "FAIL broken_lattice\n"
+
+    def test_checks_cover_all(self, capsys):
+        per_check = []
+        for check in cli.lattice.CHECK_GROUPS:
+            code, out = run_cli(capsys, "lattice", "--check", check)
+            assert code == 0
+            per_check.extend(out.splitlines())
+        code, out = run_cli(capsys, "lattice")
+        assert per_check == out.splitlines()
 
 
 class TestProject:

@@ -132,11 +132,11 @@ class TestHadamardCorrespondence:
 
 class TestVertexCoords:
     def test_signed_images_are_the_roots(self, roots):
-        check = check_vertex_coords()
-        assert check.coord_count == 240
-        assert check.norms_all_two
-        assert check.set_matches_roots
-        assert check.inner_histogram_matches
+        reports = {r.name: r for r in check_vertex_coords()}
+        assert reports["vertex_count_240"].details == {"count": 240}
+        assert reports["vertex_norms_two"].holds
+        assert reports["vertex_set_matches_roots"].holds
+        assert reports["vertex_inner_histogram_matches"].holds
 
     def test_coords_sorted_deterministic(self):
         assert e8_vertex_coords() == e8_vertex_coords()

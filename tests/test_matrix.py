@@ -1,4 +1,6 @@
 """Exact matrix algebra: products, inverses, powers, char polys, literals."""
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phi8.constants import build_cmU, build_J, build_U, build_U_inv
-from phi8.field import PHI, SQRT5, GoldenExt, GoldenScalar
+from phi8.field import PHI, SQRT5, SQRT_PHI, GoldenExt, GoldenScalar
 from phi8.matrix import CharPoly, ExactMatrix, SingularMatrixError
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -46,6 +48,22 @@ class TestBasics:
             J.rows = ()
         with pytest.raises(TypeError):
             J[0][0] = 1
+
+
+class TestCopyAndPickle:
+    """Immutable values survive copy, deepcopy and pickle unchanged."""
+
+    @pytest.mark.parametrize("value", [
+        PHI, 3 * SQRT_PHI, build_U(), build_U().char_poly(),
+    ], ids=["PHI", "3*SQRT_PHI", "U", "char_poly_U"])
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_round_trip(self, value, clone):
+        other = clone(value)
+        assert other == value
+        assert type(other) is type(value)
+        assert hash(other) == hash(value)
 
 
 class TestProducts:
