@@ -20,7 +20,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .constants import build_cmU, build_U
 from .field import GoldenExt
-from .roots import EnumerationRule, RootRecord, enumerate_roots
+from .roots import EnumerationRule, RootRecord, enumerate_roots, signed_images
 
 BASIS_BUILDERS = {"U": build_U, "cmU": build_cmU}
 
@@ -36,11 +36,6 @@ class VertexSet:
     positive_root_count: int
     points: tuple[ExactPoint, ...]
 
-    def float_array(self) -> np.ndarray:
-        return np.array(
-            [[x.to_float() for x in p] for p in self.points], dtype=float
-        )
-
 
 def default_roots() -> list[RootRecord]:
     rule = EnumerationRule(mode="pair-coupling", max_height=8)
@@ -54,18 +49,8 @@ def build_vertices(
     if basis not in BASIS_BUILDERS:
         raise ValueError(f"unknown basis {basis!r}; expected one of {sorted(BASIS_BUILDERS)}")
     records = list(roots) if roots is not None else default_roots()
-    matrix = BASIS_BUILDERS[basis]()
-    seen: set[ExactPoint] = set()
-    for rec in records:
-        acc = [GoldenExt(0) for _ in range(8)]
-        for i, c in enumerate(rec.coeffs):
-            if c:
-                row = matrix[i]
-                acc = [a + row[k] * c for k, a in enumerate(acc)]
-        p = tuple(acc)
-        seen.add(p)
-        seen.add(tuple(-x for x in p))
-    return VertexSet(basis, len(records), tuple(sorted(seen)))
+    points = set(signed_images(records, BASIS_BUILDERS[basis]().rows))
+    return VertexSet(basis, len(records), tuple(sorted(points)))
 
 
 @dataclass(frozen=True)
@@ -158,63 +143,40 @@ def peel_point_cloud(
         raise ValueError("one multiplicity per point required")
     order = list(range(len(pts)))
     layers: list[HullLayer] = []
+
+    def layer(label: str, members: list[int], edge_count: int = 0, spread: float = 0.0,
+              faces: tuple[tuple[int, int, int], ...] = ()) -> HullLayer:
+        return HullLayer(
+            label,
+            len(members),
+            edge_count,
+            spread,
+            tuple(tuple(map(float, pts[i])) for i in members),
+            tuple(mult[i] for i in members),
+            faces,
+        )
+
     while order:
         current = pts[order]
         rank = _affine_rank(current)
         if rank < 3:
-            if len(order) == 1 or rank == 0:
-                label = "point"
-            elif rank == 1:
-                label = f"collinear(v={len(order)})"
-            else:
-                label = f"coplanar(v={len(order)})"
-            layers.append(
-                HullLayer(
-                    label,
-                    len(order),
-                    0,
-                    0.0,
-                    tuple(tuple(map(float, pts[i])) for i in order),
-                    tuple(mult[i] for i in order),
-                    (),
-                )
-            )
+            label = ("point", "collinear", "coplanar")[rank]
+            layers.append(layer(f"{label}(v={len(order)})" if rank else label, order))
             break
         try:
             hull = ConvexHull(current)
         except QhullError:
             # full-rank input should never get here; treat as terminal
-            layers.append(
-                HullLayer(
-                    f"unresolved(v={len(order)})",
-                    len(order),
-                    0,
-                    0.0,
-                    tuple(tuple(map(float, pts[i])) for i in order),
-                    tuple(mult[i] for i in order),
-                    (),
-                )
-            )
+            layers.append(layer(f"unresolved(v={len(order)})", order))
             break
         shell_local = sorted(int(i) for i in hull.vertices)
-        shell = [order[i] for i in shell_local]
         label, edge_count, spread = classify_hull(current, hull)
         local_pos = {v: k for k, v in enumerate(shell_local)}
-        faces = []
-        for simplex in hull.simplices:
-            tri = tuple(local_pos[int(i)] for i in simplex)
-            if len(set(tri)) == 3:
-                faces.append(tri)
+        faces = (tuple(local_pos[int(i)] for i in simplex) for simplex in hull.simplices)
+        shell = [order[i] for i in shell_local]
         layers.append(
-            HullLayer(
-                label,
-                len(shell),
-                edge_count,
-                spread,
-                tuple(tuple(map(float, pts[i])) for i in shell),
-                tuple(mult[i] for i in shell),
-                tuple(sorted(faces)),
-            )
+            layer(label, shell, edge_count, spread,
+                  tuple(sorted(tri for tri in faces if len(set(tri)) == 3)))
         )
         shell_set = set(shell)
         order = [i for i in order if i not in shell_set]

@@ -7,14 +7,16 @@ reports the checks of ``phi8 lattice`` as ``IdentityReport`` values.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
 
 from .constants import build_cmE8, build_hadamard, srE8_rows
 from .identities import IdentityReport
 from .matrix import ExactMatrix
-from .roots import EnumerationRule, enumerate_roots
+from .roots import EnumerationRule, enumerate_roots, signed_images
 
 Root = tuple[Fraction, ...]
 
@@ -73,6 +75,11 @@ def inner_product_histogram(roots: list[Root]) -> dict[Fraction, int]:
     return hist
 
 
+def weight_enumerator(words: Iterable[tuple[int, ...]]) -> dict[int, int]:
+    """Number of codewords of each Hamming weight."""
+    return dict(Counter(sum(w) for w in words))
+
+
 @dataclass(frozen=True)
 class Hamming84:
     """The (8,4) extended Hamming code from a systematic generator."""
@@ -98,11 +105,7 @@ class Hamming84:
         return cls(gen, tuple(sorted(words)))
 
     def weight_enumerator(self) -> dict[int, int]:
-        dist: dict[int, int] = {}
-        for w in self.codewords:
-            k = sum(w)
-            dist[k] = dist.get(k, 0) + 1
-        return dist
+        return weight_enumerator(self.codewords)
 
     def min_distance(self) -> int:
         return min(sum(w) for w in self.codewords if any(w))
@@ -244,13 +247,7 @@ def hadamard_code_correspondence() -> HadamardCorrespondence:
     code = hamming84()
     target = set(code.codewords)
 
-    def enumerator(words) -> dict[int, int]:
-        dist: dict[int, int] = {}
-        for w in words:
-            dist[sum(w)] = dist.get(sum(w), 0) + 1
-        return dist
-
-    we_match = enumerator(mapped_t) == enumerator(target)
+    we_match = weight_enumerator(mapped_t) == weight_enumerator(target)
 
     permutation = _find_column_permutation(mapped_t, code.codewords) if we_match else None
     holds = permutation is not None and {
@@ -290,20 +287,9 @@ def _find_column_permutation(
 
 
 def e8_vertex_coords() -> list[Root]:
-    """Signed images of the enumerated positive roots through srE8."""
+    """Signed images of the enumerated positive roots through srE8, sorted."""
     rule = EnumerationRule(mode="normalized-pairing", max_height=30)
-    records = enumerate_roots(build_cmE8(), rule)
-    rows = srE8_rows()
-    coords: list[Root] = []
-    for rec in records:
-        v = tuple(
-            sum((Fraction(c) * rows[i][k] for i, c in enumerate(rec.coeffs)), Fraction(0))
-            for k in range(8)
-        )
-        coords.append(v)
-        coords.append(tuple(-x for x in v))
-    coords.sort()
-    return coords
+    return sorted(signed_images(enumerate_roots(build_cmE8(), rule), srE8_rows()))
 
 
 def e8_height_histogram() -> dict[int, int]:
@@ -338,7 +324,7 @@ def check_vertex_coords() -> list[IdentityReport]:
     return [
         IdentityReport("vertex_count_240", len(coords) == 240, details={"count": len(coords)}),
         IdentityReport("vertex_norms_two", all(norm_sq(v) == 2 for v in coords)),
-        IdentityReport("vertex_set_matches_roots", sorted(coords) == roots),
+        IdentityReport("vertex_set_matches_roots", coords == roots),
         IdentityReport("vertex_inner_histogram_matches",
                        inner_product_histogram(coords) == inner_product_histogram(roots)),
     ]

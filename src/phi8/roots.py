@@ -15,6 +15,7 @@ pairing entry vanishes and no other relation truncates a string.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .field import GoldenExt
 from .matrix import ExactMatrix
@@ -43,14 +44,6 @@ class RootRecord:
     parents: tuple[tuple[int, int], ...]  # (index of parent record, simple root added)
 
 
-def _weight(A: ExactMatrix, coeffs: tuple[int, ...]) -> tuple[GoldenExt, ...]:
-    n = A.n
-    return tuple(
-        sum((A[j][i] * coeffs[i] for i in range(n) if coeffs[i]), GoldenExt(0))
-        for j in range(n)
-    )
-
-
 def enumerate_roots(A: ExactMatrix, rule: EnumerationRule) -> list[RootRecord]:
     """All accepted positive roots with height <= rule.max_height.
 
@@ -59,97 +52,98 @@ def enumerate_roots(A: ExactMatrix, rule: EnumerationRule) -> list[RootRecord]:
     (parent, simple root) pairs; with dedup=False it appears once per
     acceptance event, single parent each, matching the raw listing of a
     generator-by-generator construction.
+
+    Each root's weight A*beta is carried from the parent that first
+    reaches it: weight(beta + e_j) = weight(beta) + column j of A.
     """
     n = A.n
+    scale: list[GoldenExt] = []
     if rule.mode == "normalized-pairing":
         for j in range(n):
             if not A[j][j]:
                 raise ValueError(
                     f"zero diagonal at {j}: normalized-pairing undefined, use raw-pairing"
                 )
-    adjacency: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and (A[i][j] or A[j][i]):
-                adjacency[i].add(j)
-                adjacency[j].add(i)
+        scale = [2 / A[j][j] for j in range(n)]
+    adjacency = [{j for j in range(n) if j != i and (A[i][j] or A[j][i])} for i in range(n)]
+    columns = [tuple(A[i][j] for i in range(n)) for j in range(n)]
 
     simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    found: dict[tuple[int, ...], int] = {c: 1 for c in simple}
+    weight: dict[tuple[int, ...], tuple[GoldenExt, ...]] = dict(zip(simple, columns))
     # events[coeffs] = list of (parent coeffs, j) acceptances, [] for simple roots
     events: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {c: [] for c in simple}
-    by_height: dict[int, list[tuple[int, ...]]] = {1: sorted(simple)}
+    layers = [sorted(simple)]  # layers[h - 1] holds the roots of height h, sorted
 
-    for h in range(1, rule.max_height):
-        layer = by_height.get(h)
-        if not layer:
-            break
+    while len(layers) < rule.max_height:
         next_layer: list[tuple[int, ...]] = []
-        for beta in layer:
+        for beta in layers[-1]:
+            w_beta = weight[beta]
             support = [i for i in range(n) if beta[i]]
             for j in range(n):
-                cand = tuple(c + (1 if k == j else 0) for k, c in enumerate(beta))
                 if rule.mode == "pair-coupling":
                     if len(support) == 1:
                         accepted = j != support[0] and j in adjacency[support[0]]
                     else:
                         accepted = beta[j] > 0 or any(j in adjacency[s] for s in support)
                 else:
-                    pairing = sum(
-                        (A[j][i] * beta[i] for i in range(n) if beta[i]), GoldenExt(0)
-                    )
-                    if rule.mode == "normalized-pairing":
-                        pairing = pairing * 2 / A[j][j]
-                    p = 0
-                    while p < beta[j]:
-                        lower = tuple(
-                            c - (p + 1 if k == j else 0) for k, c in enumerate(beta)
-                        )
-                        if lower not in found:
-                            break
+                    pairing = w_beta[j] * scale[j] if scale else w_beta[j]
+                    p = 0  # the largest m with beta - m*e_j already found
+                    while p < beta[j] and beta[:j] + (beta[j] - p - 1,) + beta[j + 1:] in weight:
                         p += 1
                     # accept iff p - pairing >= 1, decided exactly
                     accepted = (GoldenExt(p - 1) - pairing).sign() >= 0
                 if not accepted:
                     continue
-                if cand not in found:
-                    found[cand] = h + 1
+                cand = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
+                if cand not in events:
                     events[cand] = []
+                    weight[cand] = tuple(w + a for w, a in zip(w_beta, columns[j]))
                     next_layer.append(cand)
                 events[cand].append((beta, j))
-        if next_layer:
-            by_height[h + 1] = sorted(next_layer)
+        if not next_layer:
+            break
+        layers.append(sorted(next_layer))
 
-    ordered = sorted(found, key=lambda c: (found[c], c))
-    weights = {c: _weight(A, c) for c in ordered}
-    rows: list[tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]] = []
-    for coeffs in ordered:
-        evs = events[coeffs]
-        if rule.dedup or not evs:
-            rows.append((coeffs, list(evs)))
-        else:
-            for ev in sorted(evs):
-                rows.append((coeffs, [ev]))
+    rows: list[tuple[int, tuple[int, ...], list[tuple[tuple[int, ...], int]]]] = []
+    for height, layer in enumerate(layers, 1):
+        for coeffs in layer:
+            evs = events[coeffs]
+            if rule.dedup or not evs:
+                rows.append((height, coeffs, evs))
+            else:
+                rows.extend((height, coeffs, [ev]) for ev in sorted(evs))
     # parent indices point at the first record holding the parent coeffs
     first_index: dict[tuple[int, ...], int] = {}
-    for pos, (coeffs, _) in enumerate(rows):
+    for pos, (_, coeffs, _) in enumerate(rows):
         first_index.setdefault(coeffs, pos)
-    records: list[RootRecord] = []
-    for coeffs, evs in rows:
-        parent_pairs = tuple(sorted((first_index[p], j) for p, j in evs))
-        records.append(RootRecord(coeffs, found[coeffs], weights[coeffs], parent_pairs))
-    return records
+    return [
+        RootRecord(
+            coeffs, height, weight[coeffs], tuple(sorted((first_index[p], j) for p, j in evs))
+        )
+        for height, coeffs, evs in rows
+    ]
+
+
+def signed_images(records: Sequence[RootRecord], rows: Sequence[Sequence]) -> list[tuple]:
+    """For each record, sum_i c_i * rows[i] followed by its negative.
+
+    One pair per record in record order, duplicates kept; callers sort
+    or deduplicate as they need.
+    """
+    images: list[tuple] = []
+    for rec in records:
+        terms = [(c, rows[i]) for i, c in enumerate(rec.coeffs) if c]
+        v = tuple(sum(c * row[k] for c, row in terms) for k in range(len(rows[0])))
+        images += (v, tuple(-x for x in v))
+    return images
 
 
 def distinct_roots(records: list[RootRecord]) -> list[RootRecord]:
     """Collapse duplicate coefficient vectors, keeping first occurrence."""
-    seen: set[tuple[int, ...]] = set()
-    out = []
+    first: dict[tuple[int, ...], RootRecord] = {}
     for r in records:
-        if r.coeffs not in seen:
-            seen.add(r.coeffs)
-            out.append(r)
-    return out
+        first.setdefault(r.coeffs, r)
+    return list(first.values())
 
 
 def hasse_edges(records: list[RootRecord]) -> list[tuple[int, int, int]]:
@@ -200,22 +194,21 @@ def emit_hasse_dot(records: list[RootRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _integer_weight(r: RootRecord) -> bool:
+    return all(w.is_scalar() and w.scalar_part().is_integer() for w in r.weight)
+
+
 def weights_table(records: list[RootRecord]) -> list[dict[str, object]]:
     """Per-root weight rendering with an integer-valuedness flag."""
-    rows = []
-    for r in records:
-        integer = all(
-            w.is_scalar() and w.scalar_part().is_integer() for w in r.weight
-        )
-        rows.append(
-            {
-                "coeffs": list(r.coeffs),
-                "height": r.height,
-                "weight": [str(w) for w in r.weight],
-                "integer": integer,
-            }
-        )
-    return rows
+    return [
+        {
+            "coeffs": list(r.coeffs),
+            "height": r.height,
+            "weight": [str(w) for w in r.weight],
+            "integer": _integer_weight(r),
+        }
+        for r in records
+    ]
 
 
 E8_POSITIVE_COUNT = 120
@@ -238,10 +231,6 @@ def summarize(records: list[RootRecord]) -> dict[str, object]:
         running += by_height[h]
         cumulative[h] = running
     cum8 = sum(c for h, c in by_height.items() if h <= 8)
-    weights_integer = all(
-        all(w.is_scalar() and w.scalar_part().is_integer() for w in r.weight)
-        for r in roots
-    )
     return {
         "total": len(roots),
         "records": len(records),
@@ -251,7 +240,7 @@ def summarize(records: list[RootRecord]) -> dict[str, object]:
         "cumulative_through_8": cum8,
         "distinct_coeff_count": len(roots),
         "distinct_weight_count": len({r.weight for r in roots}),
-        "weights_all_integer": weights_integer,
+        "weights_all_integer": all(_integer_weight(r) for r in roots),
         "e8_reference": E8_POSITIVE_COUNT,
         "total_matches_e8": len(roots) == E8_POSITIVE_COUNT,
         "cumulative_8_matches_e8": cum8 == E8_POSITIVE_COUNT,

@@ -12,7 +12,12 @@ from phi8 import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# name -> (argv, files written); "{name}" in argv is the output directory
+# name -> (argv, files written).  In argv "{out}" is the output directory
+# and "{golden}" is tests/golden/ as seen from the repository root, where
+# the cases run, so a matrix path printed to stdout stays the same.
+PROJECT_234_OBJ = tuple(
+    f"project_234_obj/dims234_layer{k}.obj" for k in range(13)
+)
 CASES = {
     "verify": (("verify",), ()),
     "verify_json": (("verify", "--json"), ()),
@@ -28,19 +33,35 @@ CASES = {
         ("roots", "--matrix", "cmU", "--mode", "pair-coupling", "--max-height", "8"),
         (),
     ),
+    "roots_d5_scaled_h30": (
+        ("roots", "--matrix", "{golden}/d5_scaled.txt", "--max-height", "30",
+         "--csv", "{out}/roots_d5_scaled_h30.csv", "--dot", "{out}/roots_d5_scaled_h30.dot"),
+        ("roots_d5_scaled_h30.csv", "roots_d5_scaled_h30.dot"),
+    ),
+    "roots_a3_no_dedup_json": (
+        ("roots", "--matrix", "{golden}/a3.txt", "--no-dedup", "--json",
+         "--csv", "{out}/roots_a3_no_dedup.csv"),
+        ("roots_a3_no_dedup.csv",),
+    ),
     "lattice": (("lattice",), ()),
     "lattice_json": (("lattice", "--json"), ()),
     "lattice_vertex_coords_json": (("lattice", "--check", "vertex-coords", "--json"), ()),
     "project_all": (("project", "--all"), ()),
+    "project_234_json": (
+        ("project", "--dims", "2,3,4", "--json", "--obj", "{out}/project_234_obj"),
+        PROJECT_234_OBJ,
+    ),
     "dump_U": (("dump", "U"), ()),
     "dump_cmU": (("dump", "cmU"), ()),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_matches_golden(name, capsys, tmp_path):
+def test_output_matches_golden(name, capsys, tmp_path, monkeypatch):
     argv, files = CASES[name]
-    code = cli.main([arg.format(out=tmp_path) for arg in argv])
+    monkeypatch.chdir(GOLDEN.parent.parent)
+    monkeypatch.delenv("PHI8_OUT_DIR", raising=False)
+    code = cli.main([arg.format(out=tmp_path, golden="tests/golden") for arg in argv])
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()

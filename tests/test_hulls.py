@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from phi8 import hulls
 from phi8.hulls import (
     HullReport,
     all_dim_triples,
@@ -99,6 +100,20 @@ class TestFixtures:
     def test_multiplicity_mismatch(self):
         with pytest.raises(ValueError):
             peel_point_cloud(octahedron(), [1, 2])
+
+    def test_qhull_error_ends_in_one_unresolved_layer(self, monkeypatch):
+        def failing_hull(points):
+            raise hulls.QhullError("forced failure")
+
+        monkeypatch.setattr(hulls, "ConvexHull", failing_hull)
+        pts = octahedron()
+        layers = peel_point_cloud(pts, [1, 2, 3, 4, 5, 6])
+        assert len(layers) == 1
+        layer = layers[0]
+        assert layer.classification == "unresolved(v=6)"
+        assert (layer.vertex_count, layer.edge_count, layer.faces) == (6, 0, ())
+        assert layer.points == tuple(tuple(p) for p in pts.tolist())
+        assert layer.multiplicities == (1, 2, 3, 4, 5, 6)
 
 
 class TestRotationInvariance:

@@ -1,17 +1,23 @@
 """Root enumeration: classical Cartan matrices, the golden matrix, and modes."""
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 from phi8.constants import build_cmE8, build_cmU, build_J
+from phi8.field import GoldenExt
 from phi8.lattice import e8_height_histogram
 from phi8.matrix import ExactMatrix
 from phi8.roots import (
     E8_POSITIVE_COUNT,
+    MODES,
     EnumerationRule,
     distinct_roots,
     emit_csv,
     emit_hasse_dot,
     enumerate_roots,
     hasse_edges,
+    signed_images,
     summarize,
     weights_table,
 )
@@ -19,6 +25,9 @@ from phi8.roots import (
 A2 = ExactMatrix([[2, -1], [-1, 2]])
 A3 = ExactMatrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
 D4 = ExactMatrix([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
+# D5 with rows scaled by sqrt(phi), phi, 3/2*phi: not symmetric, so A*beta
+# differs from A^T*beta and a weight built from rows instead of columns shows
+D5_SCALED = ExactMatrix.from_file(str(Path(__file__).parent / "golden" / "d5_scaled.txt"))
 
 
 class TestClassical:
@@ -194,3 +203,31 @@ class TestEmission:
         r2 = enumerate_roots(build_cmE8(), EnumerationRule(max_height=30))
         assert summarize(r1) == summarize(r2)
         assert emit_csv(r1) == emit_csv(r2)
+
+
+class TestCarriedWeight:
+    @pytest.mark.parametrize("dedup", (True, False), ids=("dedup", "events"))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_weight_is_matrix_times_coeffs(self, mode, dedup):
+        assert D5_SCALED != D5_SCALED.transpose()
+        recs = enumerate_roots(D5_SCALED, EnumerationRule(mode=mode, max_height=8, dedup=dedup))
+        assert len(distinct_roots(recs)) > 5
+        rows = D5_SCALED.rows
+        for r in recs:
+            expected = tuple(
+                sum((row[i] * c for i, c in enumerate(r.coeffs)), GoldenExt(0)) for row in rows
+            )
+            assert r.weight == expected, r.coeffs
+
+
+class TestSignedImages:
+    def test_pairs_in_record_order(self):
+        recs = enumerate_roots(A2, EnumerationRule(max_height=10))
+        rows = ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(5)))
+        assert signed_images(recs, rows) == [(3, 5), (-3, -5), (1, 2), (-1, -2), (4, 7), (-4, -7)]
+
+    def test_duplicate_records_keep_duplicate_images(self):
+        recs = enumerate_roots(A3, EnumerationRule(max_height=10, dedup=False))
+        images = signed_images(recs, build_cmU().rows[:3])
+        assert len(images) == 2 * len(recs) == 18
+        assert len(set(images)) == 12
