@@ -192,18 +192,7 @@ class GoldenExt:
         return o * self.inverse()
 
     def __pow__(self, k: int) -> "GoldenExt":
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = _make(type(self), 1, 0, 0, 0, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, _make(type(self), 1, 0, 0, 0, 1))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GoldenExt):
@@ -340,6 +329,24 @@ def _normal(c0: int, c1: int, c2: int, c3: int, d: int) -> tuple[int, int, int, 
         if g != 1:
             return c0 // g, c1 // g, c2 // g, c3 // g, d // g
     return c0, c1, c2, c3, d
+
+
+def power(x, k: int, one):
+    """x**k by square-and-multiply from ``one``; k < 0 inverts x first.
+
+    The one power loop of ``GoldenExt`` and ``ExactMatrix``.
+    """
+    if not isinstance(k, int):
+        return NotImplemented
+    if k < 0:
+        x, k = x.inverse(), -k
+    result = one
+    while k:
+        if k & 1:
+            result = result * x
+        x = x * x
+        k >>= 1
+    return result
 
 
 def _coerce(other: object) -> GoldenExt | None:

@@ -50,8 +50,12 @@ def norm_sq(v: Root) -> Fraction:
 
 
 def _scaled_int_vectors(roots: list[Root]) -> list[tuple[int, ...]]:
-    # doubling clears all denominators in the even coordinate system
-    return [tuple(int(2 * x) for x in v) for v in roots]
+    """Doubled coordinates; doubling clears all denominators in the even
+    coordinate system, and any other coordinate raises ValueError."""
+    scaled = [tuple(2 * x for x in v) for v in roots]
+    if any(x.denominator != 1 for v in scaled for x in v):
+        raise ValueError("coordinates must be integers or half-integers")
+    return [tuple(x.numerator for x in v) for v in scaled]
 
 
 def count_contact_pairs(roots: list[Root]) -> int:
@@ -67,12 +71,10 @@ def count_contact_pairs(roots: list[Root]) -> int:
 
 def inner_product_histogram(roots: list[Root]) -> dict[Fraction, int]:
     """Distribution of <a, b> over unordered distinct pairs."""
+    # count 4<a, b> as integers, then build one Fraction per distinct value
     scaled = _scaled_int_vectors(roots)
-    hist: dict[Fraction, int] = {}
-    for a, b in combinations(scaled, 2):
-        ip = Fraction(sum(x * y for x, y in zip(a, b)), 4)
-        hist[ip] = hist.get(ip, 0) + 1
-    return hist
+    counts = Counter(sum(x * y for x, y in zip(a, b)) for a, b in combinations(scaled, 2))
+    return {Fraction(k, 4): c for k, c in counts.items()}
 
 
 def weight_enumerator(words: Iterable[tuple[int, ...]]) -> dict[int, int]:
@@ -176,8 +178,7 @@ def construction_a(code: Hamming84 | None = None) -> ConstructionAReport:
         tuple(Fraction(sum(a * b for a, b in zip(u, v)), 2) for v in basis_t)
         for u in basis_t
     )
-    gram_m = ExactMatrix([[Fraction(x) for x in row] for row in gram])
-    det = gram_m.det().scalar_part()
+    det = ExactMatrix(gram).det().scalar_part()
     if det.b != 0:
         raise AssertionError("Gram determinant left the rationals")
     gram_det = det.a
@@ -188,7 +189,7 @@ def construction_a(code: Hamming84 | None = None) -> ConstructionAReport:
 
     pos_def = True
     for k in range(1, 9):
-        minor = ExactMatrix([[Fraction(gram[i][j]) for j in range(k)] for i in range(k)])
+        minor = ExactMatrix([row[:k] for row in gram[:k]])
         if minor.det().scalar_part().sign() <= 0:
             pos_def = False
             break
@@ -295,9 +296,7 @@ def e8_vertex_coords() -> list[Root]:
 def e8_height_histogram() -> dict[int, int]:
     """Height distribution of E8 positive roots, derived from the root
     coordinates alone; independent oracle for the enumeration rule."""
-    rows = srE8_rows()
-    basis = ExactMatrix([[Fraction(x) for x in row] for row in rows])
-    inv = basis.inverse()
+    inv = ExactMatrix(srE8_rows()).inverse()
     inv_rows = []
     for row in inv.rows:
         parts = [e.scalar_part() for e in row]

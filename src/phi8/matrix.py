@@ -1,15 +1,18 @@
 """Dense exact matrices over the golden field extension.
 
-Entries are ``GoldenExt`` values; every operation here is exact.  The
-characteristic polynomial uses the Faddeev-LeVerrier recursion, which only
-ever divides by integers and therefore stays inside the field.
+Entries are ``GoldenExt`` values; every operation here is exact.  Inverse
+and determinant share one Gauss-Jordan pass, and ``**`` is the field's
+square-and-multiply loop.  The characteristic polynomial uses the
+Faddeev-LeVerrier recursion, which only ever divides by integers and
+therefore stays inside the field.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Sequence
 
-from .field import GoldenExt, GoldenScalar, parse_scalar
+from .field import GoldenExt, GoldenScalar, parse_scalar, power
 
 EntryLike = object  # int | Fraction | GoldenScalar | GoldenExt
 
@@ -109,20 +112,10 @@ class ExactMatrix:
             return NotImplemented
         return ExactMatrix([[e * s for e in row] for row in self.rows])
 
-    def __rmul__(self, other: object) -> "ExactMatrix":
-        try:
-            s = _entry(other)
-        except TypeError:
-            return NotImplemented
-        return ExactMatrix([[s * e for e in row] for row in self.rows])
+    __rmul__ = __mul__  # the field is commutative
 
     def __truediv__(self, other: object) -> "ExactMatrix":
-        try:
-            s = _entry(other)
-        except TypeError:
-            return NotImplemented
-        sinv = s.inverse()
-        return ExactMatrix([[e * sinv for e in row] for row in self.rows])
+        return self * _entry(other).inverse()
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(list(zip(*self.rows)))
@@ -133,20 +126,26 @@ class ExactMatrix:
             t = t + self.rows[i][i]
         return t
 
-    def inverse(self) -> "ExactMatrix":
-        """Gauss-Jordan with the first nonzero pivot in each column."""
+    def _gauss_jordan(
+        self, right: Sequence[Sequence[GoldenExt]]
+    ) -> tuple[list[GoldenExt], int, list[list[GoldenExt]]]:
+        """Reduce [self | right] to [I | X], first nonzero pivot in each column.
+
+        Returns the pivots in column order, the number of row swaps and X;
+        raises SingularMatrixError at a column without a nonzero pivot.
+        """
         n = self.n
-        work = [list(row) + [GoldenExt(1 if i == j else 0) for j in range(n)]
-                for i, row in enumerate(self.rows)]
+        work = [list(row) + list(extra) for row, extra in zip(self.rows, right)]
+        pivots: list[GoldenExt] = []
+        swaps = 0
         for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if work[r][col]:
-                    pivot_row = r
-                    break
+            pivot_row = next((r for r in range(col, n) if work[r][col]), None)
             if pivot_row is None:
                 raise SingularMatrixError(col)
-            work[col], work[pivot_row] = work[pivot_row], work[col]
+            if pivot_row != col:
+                work[col], work[pivot_row] = work[pivot_row], work[col]
+                swaps += 1
+            pivots.append(work[col][col])
             pinv = work[col][col].inverse()
             work[col] = [e * pinv for e in work[col]]
             for r in range(n):
@@ -154,48 +153,23 @@ class ExactMatrix:
                     continue
                 factor = work[r][col]
                 work[r] = [e - factor * p for e, p in zip(work[r], work[col])]
-        return ExactMatrix([row[n:] for row in work])
+        return pivots, swaps, [row[n:] for row in work]
+
+    def inverse(self) -> "ExactMatrix":
+        """Gauss-Jordan on [self | I]."""
+        return ExactMatrix(self._gauss_jordan(ExactMatrix.identity(self.n).rows)[2])
 
     def __pow__(self, k: int) -> "ExactMatrix":
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = ExactMatrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, ExactMatrix.identity(self.n))
 
     def det(self) -> GoldenExt:
-        """Exact elimination with row swaps tracked by sign."""
-        n = self.n
-        work = [list(row) for row in self.rows]
-        sign = 1
-        result = GoldenExt(1)
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if work[r][col]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return GoldenExt(0)
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-                sign = -sign
-            pivot = work[col][col]
-            result = result * pivot
-            pinv = pivot.inverse()
-            for r in range(col + 1, n):
-                if not work[r][col]:
-                    continue
-                factor = work[r][col] * pinv
-                work[r] = [e - factor * p for e, p in zip(work[r], work[col])]
-        return result if sign > 0 else -result
+        """Product of the Gauss-Jordan pivots, negated for an odd number of swaps."""
+        try:
+            pivots, swaps, _ = self._gauss_jordan([()] * self.n)
+        except SingularMatrixError:
+            return GoldenExt(0)
+        d = prod(pivots, start=GoldenExt(1))
+        return -d if swaps % 2 else d
 
     def char_poly(self) -> "CharPoly":
         """Faddeev-LeVerrier recursion; divides only by integers."""
@@ -326,22 +300,6 @@ class CharPoly:
             else:
                 raise ValueError(f"odd coefficient {k} is nonzero; rescale is irrational")
         return CharPoly(tuple(out))
-
-    def __str__(self) -> str:
-        n = self.degree
-        parts: list[str] = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            power = n - k
-            if power == 0:
-                term = f"({c})"
-            elif power == 1:
-                term = "x" if c == GoldenExt(1) else f"({c})*x"
-            else:
-                term = f"x^{power}" if c == GoldenExt(1) else f"({c})*x^{power}"
-            parts.append(term)
-        return " + ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
         return f"CharPoly(degree={self.degree})"

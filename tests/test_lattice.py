@@ -57,6 +57,13 @@ class TestRoots:
         total = 240 * 239 // 2
         assert sum(hist.values()) == total
 
+    def test_non_half_integer_coordinate_rejected(self):
+        v = (Fraction(1, 3),) * 8
+        with pytest.raises(ValueError):
+            inner_product_histogram([v, v])
+        with pytest.raises(ValueError):
+            count_contact_pairs([v, v])
+
     def test_closed_under_negation(self, roots):
         rootset = set(roots)
         assert all(tuple(-x for x in v) in rootset for v in roots)

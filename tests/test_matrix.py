@@ -2,6 +2,8 @@
 import copy
 import pickle
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,42 @@ class TestProducts:
         J = build_J()
         assert J.det() == GoldenExt(1)  # 8x8 reversal: even permutation
         assert U.det() * U.det() == build_cmU().det()
+
+
+# zeros repeated so that draws need row swaps and are often singular
+oracle_entries = st.sampled_from([
+    GoldenExt(0), GoldenExt(0), GoldenExt(0), GoldenExt(1), GoldenExt(-1), GoldenExt(2),
+    GoldenExt(PHI), GoldenExt(-PHI), SQRT_PHI, PHI * SQRT_PHI - 1,
+])
+
+
+@st.composite
+def oracle_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    return ExactMatrix([[draw(oracle_entries) for _ in range(n)] for _ in range(n)])
+
+
+def leibniz_det(m):
+    """Sum over permutations of sign * product; shares no code with elimination."""
+    total = GoldenExt(0)
+    for perm in permutations(range(m.n)):
+        inversions = sum(perm[i] > perm[j] for i in range(m.n) for j in range(i + 1, m.n))
+        term = prod((m[i][perm[i]] for i in range(m.n)), start=GoldenExt(1))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+class TestEliminationOracle:
+    @given(oracle_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_det_and_inverse_match_leibniz(self, m):
+        d = m.det()
+        assert d == leibniz_det(m)
+        if d:
+            assert m * m.inverse() == ExactMatrix.identity(m.n)
+        else:
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
 
 
 class TestPowers:
