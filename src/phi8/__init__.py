@@ -31,7 +31,6 @@ from .field import (
     parse_scalar,
     sqrt5_form,
 )
-from .hulls import HullLayer, HullReport, VertexSet, analyze, build_vertices, tally_all
 from .identities import IdentityReport, run_all, run_group, verify_power_pattern
 from .lattice import (
     Hamming84,
@@ -51,6 +50,19 @@ from .roots import (
 )
 
 __version__ = "0.1.0"
+
+# the hull names load phi8.hulls, and with it numpy and scipy, on first access
+_HULL_NAMES = frozenset(
+    ("HullLayer", "HullReport", "VertexSet", "analyze", "build_vertices", "tally_all")
+)
+
+
+def __getattr__(name: str):
+    if name in _HULL_NAMES:
+        from . import hulls
+
+        return getattr(hulls, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CharPoly",

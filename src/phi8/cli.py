@@ -8,7 +8,8 @@ Subcommands:
   project   convex hull layer analysis of the signed root vertices
   dump      print a named or file-loaded matrix as a literal
 
-Exit status: 0 all checks hold, 1 a check failed, 2 usage error.
+Exit status: 0 all checks hold, 1 a check failed, 2 usage error,
+3 unexpected internal error (traceback on stderr).
 Output is deterministic: no timestamps, sorted keys, fixed orderings.
 Relative output file paths honor the PHI8_OUT_DIR environment variable.
 """
@@ -18,10 +19,11 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
-from . import hulls, identities, lattice
-from .constants import NAMED_MATRICES, resolve_matrix
+from . import identities, lattice
+from .constants import BASIS_BUILDERS, NAMED_MATRICES, resolve_matrix
 from .field import sqrt5_form
 from .roots import (
     MODES,
@@ -159,6 +161,8 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
 
 
 def cmd_project(args: argparse.Namespace) -> int:
+    from . import hulls  # numpy and scipy load only for the command that needs them
+
     vset = hulls.build_vertices(basis=args.basis)
     if args.all:
         reports = hulls.tally_all(vset)
@@ -264,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_project.add_mutually_exclusive_group(required=True)
     group.add_argument("--dims", help="three 1-based coordinates, like 2,3,4")
     group.add_argument("--all", action="store_true", help="every 3-coordinate choice")
-    p_project.add_argument("--basis", choices=sorted(hulls.BASIS_BUILDERS), default="U")
+    p_project.add_argument("--basis", choices=sorted(BASIS_BUILDERS), default="U")
     p_project.add_argument("--json", action="store_true")
     p_project.add_argument("--csv", metavar="PATH", help="write signature CSV")
     p_project.add_argument("--obj", metavar="DIR", help="write per-layer OBJ meshes")
@@ -285,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -181,6 +181,10 @@ NAMED_MATRICES = {
     "Bminus": bracket_minus,
 }
 
+# bases for the hull vertices (`project --basis`); listed here so the CLI
+# can offer them without loading the hull stack
+BASIS_BUILDERS = {"U": build_U, "cmU": build_cmU}
+
 
 def resolve_matrix(name_or_path: str) -> ExactMatrix:
     """Named built-ins take precedence over file paths."""

@@ -18,11 +18,9 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .constants import build_cmU, build_U
+from .constants import BASIS_BUILDERS, build_cmU
 from .field import GoldenExt
 from .roots import EnumerationRule, RootRecord, enumerate_roots, signed_images
-
-BASIS_BUILDERS = {"U": build_U, "cmU": build_cmU}
 
 ExactPoint = tuple[GoldenExt, ...]
 

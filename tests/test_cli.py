@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from phi8 import cli
+from phi8 import cli, constants
 from phi8.constants import build_cmU
 from phi8.identities import IdentityReport
 from phi8.matrix import ExactMatrix
@@ -214,6 +214,20 @@ class TestMalformedInput:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "zero denominator" in captured.err
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_three(self, capsys, monkeypatch):
+        def broken():
+            raise RuntimeError("builder broke")
+
+        monkeypatch.setitem(constants.NAMED_MATRICES, "cmE8", broken)
+        code = cli.main(["dump", "cmE8"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback")
+        assert "RuntimeError: builder broke" in captured.err
 
 
 class TestDeterminism:

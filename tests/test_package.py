@@ -1,0 +1,100 @@
+"""The package surface, and which heavy modules a command loads.
+
+Only `project` builds a convex hull, so only `project` (or first use of
+a hull name from the package) may import numpy and scipy; every other
+command starts without them.  Each import check runs in a fresh
+interpreter with src/ first on PYTHONPATH, because this process has
+long since imported the hull stack.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import phi8
+
+ROOT = Path(__file__).resolve().parent.parent
+HEAVY = ("numpy", "scipy", "scipy.spatial")
+
+# runs phi8.cli.main(argv), then reports on stderr which HEAVY modules it loaded
+RUN_MAIN = f"""
+import sys
+from phi8.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write("loaded: " + " ".join(m for m in {HEAVY!r} if m in sys.modules) + "\\n")
+sys.exit(code)
+"""
+
+
+def fresh_python(code, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    env.pop("PHI8_OUT_DIR", None)
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def loaded_by(*argv):
+    proc = fresh_python(RUN_MAIN, *argv)
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("loaded:"), proc.stderr
+    return set(last.split()[1:])
+
+
+class TestImportCost:
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("verify",),
+            ("powers", "-n", "12"),
+            ("dump", "U"),
+            ("roots", "--max-height", "30"),
+            ("lattice",),
+        ),
+        ids=("verify", "powers", "dump", "roots", "lattice"),
+    )
+    def test_command_loads_no_hull_stack(self, argv):
+        assert loaded_by(*argv) == set()
+
+    def test_project_loads_scipy_spatial(self):
+        # positive control: the probe does see the import when it happens
+        assert "scipy.spatial" in loaded_by("project", "--dims", "2,3,4")
+
+    def test_from_phi8_import_hulls_loads_the_submodule(self):
+        proc = fresh_python(
+            "import sys, phi8\n"
+            "assert 'phi8.hulls' not in sys.modules\n"
+            "from phi8 import hulls\n"
+            "assert hulls is sys.modules['phi8.hulls']\n"
+            "assert 'scipy.spatial' in sys.modules\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestPackageApi:
+    def test_every_exported_name_resolves(self):
+        assert [name for name in phi8.__all__ if not hasattr(phi8, name)] == []
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from phi8 import *", namespace)
+        assert set(phi8.__all__) <= set(namespace)
+
+    def test_hull_names_are_the_hulls_objects(self):
+        from phi8 import hulls
+
+        for name in ("HullLayer", "HullReport", "VertexSet", "analyze",
+                     "build_vertices", "tally_all"):
+            assert getattr(phi8, name) is getattr(hulls, name)
+        assert phi8.tally_all is phi8.hulls.tally_all
+
+    def test_unknown_attribute_names_it(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            phi8.no_such_name
