@@ -285,13 +285,8 @@ class GoldenScalar(GoldenExt):
     def b(self) -> Fraction:
         return Fraction(self._n[2], self._n[4])
 
-    def conjugate(self) -> "GoldenScalar":
-        """Galois conjugate: phi -> 1 - phi."""
-        c0, _, c2, _, d = self._n
-        return _make(GoldenScalar, c0 + c2, 0, -c2, 0, d)
-
     def field_norm(self) -> Fraction:
-        """Product with the conjugate; rational, zero only at zero."""
+        """Product with the Galois conjugate phi -> 1 - phi; rational, zero only at zero."""
         c0, _, c2, _, d = self._n
         return Fraction(c0 * c0 + c0 * c2 - c2 * c2, d * d)
 
@@ -393,68 +388,37 @@ def sqrt5_form(x: GoldenScalar) -> str:
     return _render_terms([(p, ""), (q, "sqrt(5)")])
 
 
-_TOKEN_RE = re.compile(r"\s*(sqrt\(phi\)|phi|\d+(?:/\d+)?|[+\-*])")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ValueError(f"cannot parse scalar near {text[pos:]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
+_FACTOR = r"sqrt\(phi\)|phi|\d+(?:/\d+)?"
+# a run of signs, then factors joined by '*'
+_TERM_RE = re.compile(rf"\s*((?:[+-]\s*)*)((?:{_FACTOR})(?:\s*\*\s*(?:{_FACTOR}))*)")
 
 
 def parse_scalar(text: str) -> GoldenExt:
     """Parse a linear combination of 1, phi, sqrt(phi), phi*sqrt(phi).
 
-    Terms are joined with + or -, each a '*'-separated product of rational
-    literals (p or p/q with q > 0), 'phi', and 'sqrt(phi)'.
+    A term is a run of signs, then a '*'-separated product of rational
+    literals (p or p/q with q > 0), 'phi', and 'sqrt(phi)'; every term
+    after the first starts with a sign.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty scalar literal")
-    total = GoldenExt(0)
-    i = 0
-    while i < len(tokens):
-        negate = False
-        while i < len(tokens) and tokens[i] in "+-":
-            if tokens[i] == "-":
-                negate = not negate
-            i += 1
-        if i >= len(tokens):
-            raise ValueError(f"dangling sign in {text!r}")
+    total, pos, end = GoldenExt(0), 0, len(text.rstrip())
+    while True:
+        m = _TERM_RE.match(text, pos)
+        if m is None or (pos and not m.group(1)):
+            raise ValueError(f"cannot parse scalar near {text[pos:]!r}")
+        signs, product = m.groups()
         term = GoldenExt(1)
-        expect_factor = True
-        while i < len(tokens):
-            tok = tokens[i]
-            if tok in "+-":
-                break
-            if tok == "*":
-                if expect_factor:
-                    raise ValueError(f"misplaced '*' in {text!r}")
-                expect_factor = True
-                i += 1
-                continue
-            if not expect_factor:
-                raise ValueError(f"missing operator in {text!r}")
-            if tok == "phi":
+        for factor in product.split("*"):
+            factor = factor.strip()
+            if factor == "phi":
                 term = term * PHI
-            elif tok == "sqrt(phi)":
+            elif factor == "sqrt(phi)":
                 term = term * SQRT_PHI
             else:
-                num, _, den = tok.partition("/")
+                num, _, den = factor.partition("/")
                 if den and int(den) == 0:
                     raise ValueError(f"zero denominator in {text!r}")
                 term = term * _make(GoldenScalar, int(num), 0, 0, 0, int(den or 1))
-            expect_factor = False
-            i += 1
-        if expect_factor:
-            raise ValueError(f"dangling operator in {text!r}")
-        total = total + (-term if negate else term)
-    return total
+        total = total + (-term if signs.count("-") % 2 else term)
+        pos = m.end()
+        if pos == end:
+            return total

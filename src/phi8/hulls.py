@@ -172,10 +172,7 @@ def peel_point_cloud(
         local_pos = {v: k for k, v in enumerate(shell_local)}
         faces = (tuple(local_pos[int(i)] for i in simplex) for simplex in hull.simplices)
         shell = [order[i] for i in shell_local]
-        layers.append(
-            layer(label, shell, edge_count, spread,
-                  tuple(sorted(tri for tri in faces if len(set(tri)) == 3)))
-        )
+        layers.append(layer(label, shell, edge_count, spread, tuple(sorted(faces))))
         shell_set = set(shell)
         order = [i for i in order if i not in shell_set]
     return layers

@@ -1,9 +1,13 @@
 """Command line behavior: exit codes, determinism, file outputs."""
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phi8 import cli, constants
 from phi8.constants import build_cmU
@@ -214,6 +218,46 @@ class TestMalformedInput:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "zero denominator" in captured.err
+
+
+# Cells valid or not; rows may be ragged.
+_cells = st.one_of(
+    st.sampled_from(["2", "-1", "0", " 2 ", "phi", "-phi", "sqrt(phi)", "1/2*phi",
+                     "-3/2", "--1", "1/0"]),
+    st.lists(
+        st.sampled_from(["phi", "sqrt(phi)", "2", "-1", "0", "1/0", "/", "*", "+", "-",
+                         " ", "\t", "x", "(", ")", ".", "#"]),
+        max_size=5,
+    ).map("".join),
+)
+_rows = st.lists(_cells, min_size=1, max_size=4).map(";".join)
+_fillers = st.sampled_from(["", "   ", "# comment", "  # indented comment"])
+
+
+@st.composite
+def matrix_files(draw):
+    """1-4 rows with up to two blank or '#' lines among them."""
+    lines = draw(st.lists(_rows, min_size=1, max_size=4))
+    for filler in draw(st.lists(_fillers, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    return "\n".join(lines)
+
+
+class TestMatrixFileFuzz:
+    @given(matrix_files())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_zero_or_two(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "m.txt"
+        path.write_text(text)
+        for argv in (["dump", str(path)], ["roots", "--matrix", str(path), "--max-height", "4"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 2), (argv, text, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert out.getvalue() == ""
+                assert err.getvalue().startswith("error: ")
 
 
 class TestInternalError:

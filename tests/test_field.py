@@ -177,6 +177,63 @@ class TestRendering:
         assert parse_scalar(str(x)) == x
 
 
+# Scalar literals built with their values, never through parse_scalar.
+_blank = st.sampled_from(["", " ", "\t", "  ", " \t"])
+_factors = st.one_of(
+    st.just(("phi", PHI)),
+    st.just(("sqrt(phi)", SQRT_PHI)),
+    st.integers(0, 999).map(lambda p: (str(p), Fraction(p))),
+    st.tuples(st.integers(0, 999), st.integers(1, 999)).map(
+        lambda pq: (f"{pq[0]}/{pq[1]}", Fraction(*pq))
+    ),
+)
+
+
+@st.composite
+def _terms(draw, first):
+    text, value = "", 1
+    for _ in range(draw(st.integers(0 if first else 1, 3))):
+        sign = draw(st.sampled_from("+-"))
+        text += sign + draw(_blank)
+        value = -value if sign == "-" else value
+    factors = draw(st.lists(_factors, min_size=1, max_size=3))
+    for i, (literal, factor) in enumerate(factors):
+        joint = draw(_blank) + "*" + draw(_blank) if i else ""
+        text += joint + literal
+        value = value * factor
+    return draw(_blank) + text + draw(_blank), value
+
+
+@st.composite
+def literals(draw):
+    terms = [draw(_terms(True)), *draw(st.lists(_terms(False), max_size=3))]
+    return "".join(t for t, _ in terms), sum((v for _, v in terms), GoldenExt(0))
+
+
+_junk_text = st.lists(
+    st.sampled_from(["phi", "sqrt(phi)", "sqrt(", "7", "0", "12/5", "/", "/0", "*",
+                     "+", "-", " ", "\t", "\n", "x", "(", ")", ".", "#", ";", "\u0663"]),
+    max_size=10,
+).map("".join)
+
+
+class TestLiteralGrammar:
+    @given(literals())
+    @settings(max_examples=150)
+    def test_value_matches_construction(self, case):
+        text, value = case
+        assert parse_scalar(text) == value
+
+    @given(_junk_text)
+    @settings(max_examples=150)
+    def test_value_or_value_error(self, text):
+        try:
+            result = parse_scalar(text)
+        except ValueError:
+            return
+        assert isinstance(result, GoldenExt)
+
+
 class TestFieldAxioms:
     @given(scalars, scalars, scalars)
     @settings(max_examples=150)
@@ -227,3 +284,8 @@ class TestFieldAxioms:
     def test_conjugation_fixes_norm(self, x):
         n = x.ext_norm()
         assert GoldenExt(n) == x * x.conjugate()
+
+    @given(scalars)
+    @settings(max_examples=150)
+    def test_conjugate_depends_on_value_not_class(self, x):
+        assert x.conjugate() == GoldenExt(x).conjugate()

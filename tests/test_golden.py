@@ -53,6 +53,8 @@ CASES = {
     ),
     "dump_U": (("dump", "U"), ()),
     "dump_cmU": (("dump", "cmU"), ()),
+    "dump_d5_scaled": (("dump", "{golden}/d5_scaled.txt"), ()),
+    "dump_literals": (("dump", "{golden}/literals.txt"), ()),
 }
 
 
