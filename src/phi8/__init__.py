@@ -5,110 +5,48 @@ Q(phi, sqrt(phi)) whose square is a golden variant of a Cartan matrix.
 Everything downstream is exact: identity verification, power patterns,
 root system enumeration, the E8 lattice via the extended Hamming code,
 and convex hull layers of projected root vertices.
+
+``import phi8`` loads no submodule: each exported name loads its module
+on first access (PEP 562), so the hull names alone bring in numpy and
+scipy, and a CLI command loads only the modules it runs.
 """
-from .constants import (
-    NAMED_MATRICES,
-    bracket_minus,
-    bracket_plus,
-    build_cmE8,
-    build_cmU,
-    build_hadamard,
-    build_J,
-    build_srE8,
-    build_U,
-    build_U_inv,
-    resolve_matrix,
-)
-from .field import (
-    HALF,
-    ONE,
-    PHI,
-    SQRT5,
-    SQRT_PHI,
-    ZERO,
-    GoldenExt,
-    GoldenScalar,
-    parse_scalar,
-    sqrt5_form,
-)
-from .identities import IdentityReport, run_all, run_group, verify_power_pattern
-from .lattice import (
-    Hamming84,
-    construction_a,
-    gen_e8_roots,
-    hadamard_code_correspondence,
-    hamming84,
-)
-from .matrix import CharPoly, ExactMatrix, SingularMatrixError
-from .roots import (
-    EnumerationRule,
-    RootRecord,
-    distinct_roots,
-    enumerate_roots,
-    hasse_edges,
-    summarize,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# the hull names load phi8.hulls, and with it numpy and scipy, on first access
-_HULL_NAMES = frozenset(
-    ("HullLayer", "HullReport", "VertexSet", "analyze", "build_vertices", "tally_all")
-)
+_EXPORTS = {
+    "constants": (
+        "NAMED_MATRICES", "bracket_minus", "bracket_plus", "build_cmE8", "build_cmU",
+        "build_hadamard", "build_J", "build_srE8", "build_U", "build_U_inv",
+        "resolve_matrix",
+    ),
+    "field": (
+        "HALF", "ONE", "PHI", "SQRT5", "SQRT_PHI", "ZERO", "GoldenExt", "GoldenScalar",
+        "parse_scalar", "sqrt5_form",
+    ),
+    "identities": ("IdentityReport", "run_all", "run_group", "verify_power_pattern"),
+    "lattice": (
+        "Hamming84", "construction_a", "gen_e8_roots", "hadamard_code_correspondence",
+        "hamming84",
+    ),
+    "matrix": ("CharPoly", "ExactMatrix", "SingularMatrixError"),
+    "roots": (
+        "EnumerationRule", "RootRecord", "distinct_roots", "enumerate_roots",
+        "hasse_edges", "summarize",
+    ),
+    "hulls": ("HullLayer", "HullReport", "VertexSet", "analyze", "build_vertices", "tally_all"),
+}
+# exported name -> the submodule that defines it
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
 def __getattr__(name: str):
-    if name in _HULL_NAMES:
-        from . import hulls
+    if name in _EXPORTS:  # the submodules themselves, e.g. phi8.roots
+        return import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
 
-        return getattr(hulls, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-__all__ = [
-    "CharPoly",
-    "EnumerationRule",
-    "ExactMatrix",
-    "GoldenExt",
-    "GoldenScalar",
-    "HALF",
-    "Hamming84",
-    "HullLayer",
-    "HullReport",
-    "IdentityReport",
-    "NAMED_MATRICES",
-    "ONE",
-    "PHI",
-    "RootRecord",
-    "SQRT5",
-    "SQRT_PHI",
-    "SingularMatrixError",
-    "VertexSet",
-    "ZERO",
-    "analyze",
-    "bracket_minus",
-    "bracket_plus",
-    "build_cmE8",
-    "build_cmU",
-    "build_hadamard",
-    "build_J",
-    "build_srE8",
-    "build_U",
-    "build_U_inv",
-    "build_vertices",
-    "construction_a",
-    "distinct_roots",
-    "enumerate_roots",
-    "gen_e8_roots",
-    "hadamard_code_correspondence",
-    "hamming84",
-    "hasse_edges",
-    "parse_scalar",
-    "resolve_matrix",
-    "run_all",
-    "run_group",
-    "sqrt5_form",
-    "summarize",
-    "tally_all",
-    "verify_power_pattern",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]

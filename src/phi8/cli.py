@@ -16,26 +16,27 @@ Relative output file paths honor the PHI8_OUT_DIR environment variable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import traceback
 from pathlib import Path
 
-from . import identities, lattice
-from .constants import BASIS_BUILDERS, NAMED_MATRICES, resolve_matrix
-from .field import sqrt5_form
-from .roots import (
+# constants (with field and matrix) is all that build_parser and dump need;
+# every other cmd_* imports the module it runs, so no command loads a
+# module it does not use
+from .constants import (
+    BASIS_BUILDERS,
+    LATTICE_CHECK_NAMES,
     MODES,
-    EnumerationRule,
-    emit_csv,
-    emit_hasse_dot,
-    enumerate_roots,
-    summarize,
+    NAMED_MATRICES,
+    VERIFIER_GROUP_NAMES,
+    resolve_matrix,
 )
+from .field import sqrt5_form
 
 
 def _json_dump(obj: object) -> str:
+    import json
+
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -85,11 +86,15 @@ def _emit_reports(reports, as_json: bool, keys: tuple[str, ...] | None = None) -
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import identities
+
     reports = identities.run_group(args.only) if args.only else identities.run_all()
     return _emit_reports(reports, args.json)
 
 
 def cmd_powers(args: argparse.Namespace) -> int:
+    from . import identities
+
     pattern = identities.verify_power_pattern(args.n)
     if args.json:
         payload = {
@@ -111,16 +116,18 @@ def cmd_powers(args: argparse.Namespace) -> int:
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
+    from . import roots
+
     matrix = resolve_matrix(args.matrix)
-    rule = EnumerationRule(
+    rule = roots.EnumerationRule(
         mode=args.mode, max_height=args.max_height, dedup=not args.no_dedup
     )
-    records = enumerate_roots(matrix, rule)
-    summary = summarize(records)
+    records = roots.enumerate_roots(matrix, rule)
+    summary = roots.summarize(records)
     if args.dot:
-        _out_path(args.dot).write_text(emit_hasse_dot(records))
+        _out_path(args.dot).write_text(roots.emit_hasse_dot(records))
     if args.csv:
-        _out_path(args.csv).write_text(emit_csv(records))
+        _out_path(args.csv).write_text(roots.emit_csv(records))
     if args.json:
         payload = dict(summary)
         payload["by_height"] = [[h, c] for h, c in sorted(summary["by_height"].items())]
@@ -145,6 +152,8 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 
 def cmd_lattice(args: argparse.Namespace) -> int:
+    from . import lattice
+
     groups = lattice.CHECK_GROUPS if args.check == "all" else (args.check,)
     reports = [r for g in groups for r in lattice.CHECK_GROUPS[g]()]
     return _emit_reports(reports, args.json, ("name", "holds", "details"))
@@ -161,7 +170,7 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
 
 
 def cmd_project(args: argparse.Namespace) -> int:
-    from . import hulls  # numpy and scipy load only for the command that needs them
+    from . import hulls
 
     vset = hulls.build_vertices(basis=args.basis)
     if args.all:
@@ -231,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the identity suite")
     p_verify.add_argument(
-        "--only", choices=sorted(identities.VERIFIER_GROUPS), help="run one group"
+        "--only", choices=sorted(VERIFIER_GROUP_NAMES), help="run one group"
     )
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
@@ -259,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lattice = sub.add_parser("lattice", help="E8 lattice and code checks")
     p_lattice.add_argument(
-        "--check", choices=(*lattice.CHECK_GROUPS, "all"), default="all"
+        "--check", choices=(*LATTICE_CHECK_NAMES, "all"), default="all"
     )
     p_lattice.add_argument("--json", action="store_true")
     p_lattice.set_defaults(func=cmd_lattice)
@@ -290,6 +299,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 3
 

@@ -185,6 +185,16 @@ NAMED_MATRICES = {
 # can offer them without loading the hull stack
 BASIS_BUILDERS = {"U": build_U, "cmU": build_cmU}
 
+# the `verify --only`, `lattice --check` and `roots --mode` choices, in the
+# order of identities.VERIFIER_GROUPS and lattice.CHECK_GROUPS; listed here
+# so the CLI can offer them without loading those modules
+VERIFIER_GROUP_NAMES = (
+    "products", "golden-cartan", "row-reversed", "powers",
+    "odd-powers", "brackets", "char-polys", "schlafli-probe",
+)
+LATTICE_CHECK_NAMES = ("roots", "hamming", "construction-a", "hadamard-map", "vertex-coords")
+MODES = ("normalized-pairing", "raw-pairing", "pair-coupling")
+
 
 def resolve_matrix(name_or_path: str) -> ExactMatrix:
     """Named built-ins take precedence over file paths."""

@@ -388,7 +388,7 @@ def sqrt5_form(x: GoldenScalar) -> str:
     return _render_terms([(p, ""), (q, "sqrt(5)")])
 
 
-_FACTOR = r"sqrt\(phi\)|phi|\d+(?:/\d+)?"
+_FACTOR = r"sqrt\(phi\)|phi|[0-9]+(?:/[0-9]+)?"
 # a run of signs, then factors joined by '*'
 _TERM_RE = re.compile(rf"\s*((?:[+-]\s*)*)((?:{_FACTOR})(?:\s*\*\s*(?:{_FACTOR}))*)")
 

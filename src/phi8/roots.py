@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .constants import MODES
 from .field import GoldenExt
 from .matrix import ExactMatrix
-
-MODES = ("normalized-pairing", "raw-pairing", "pair-coupling")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phi8 import cli, constants
+from phi8 import cli, constants, identities, lattice
 from phi8.constants import build_cmU
 from phi8.identities import IdentityReport
 from phi8.matrix import ExactMatrix
@@ -42,14 +42,14 @@ class TestVerify:
 
     def test_failing_report_exits_one(self, capsys, monkeypatch):
         fake = [IdentityReport("broken", False)]
-        monkeypatch.setattr(cli.identities, "run_all", lambda: fake)
+        monkeypatch.setattr(identities, "run_all", lambda: fake)
         code, out = run_cli(capsys, "verify")
         assert code == 1
         assert "FAIL broken" in out
 
     def test_informational_failure_does_not_fail_run(self, capsys, monkeypatch):
         fake = [IdentityReport("probe", False, informational=True)]
-        monkeypatch.setattr(cli.identities, "run_all", lambda: fake)
+        monkeypatch.setattr(identities, "run_all", lambda: fake)
         code, out = run_cli(capsys, "verify")
         assert code == 0
         assert "INFO probe: deviates" in out
@@ -149,14 +149,14 @@ class TestLattice:
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         fake = [IdentityReport("broken_lattice", False)]
-        monkeypatch.setitem(cli.lattice.CHECK_GROUPS, "hamming", lambda: fake)
+        monkeypatch.setitem(lattice.CHECK_GROUPS, "hamming", lambda: fake)
         code, out = run_cli(capsys, "lattice", "--check", "hamming")
         assert code == 1
         assert out == "FAIL broken_lattice\n"
 
     def test_checks_cover_all(self, capsys):
         per_check = []
-        for check in cli.lattice.CHECK_GROUPS:
+        for check in lattice.CHECK_GROUPS:
             code, out = run_cli(capsys, "lattice", "--check", check)
             assert code == 0
             per_check.extend(out.splitlines())
@@ -218,6 +218,15 @@ class TestMalformedInput:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "zero denominator" in captured.err
+
+    def test_non_ascii_digit_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "arabic.txt"
+        path.write_text("\u0663/\u0664*phi; 0\n0; 1\n", encoding="utf-8")
+        code = cli.main(["dump", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 # Cells valid or not; rows may be ragged.

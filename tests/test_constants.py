@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from phi8 import constants, identities, lattice, roots
 from phi8.constants import (
     NAMED_MATRICES,
     bracket_minus,
@@ -163,3 +164,9 @@ class TestRegistry:
     def test_builders_return_fresh_equal_values(self):
         assert build_U() == build_U()
         assert build_cmE8() == build_cmE8()
+
+    def test_choice_names_match_registries(self):
+        # the CLI offers these names without loading the registries
+        assert constants.VERIFIER_GROUP_NAMES == tuple(identities.VERIFIER_GROUPS)
+        assert constants.LATTICE_CHECK_NAMES == tuple(lattice.CHECK_GROUPS)
+        assert roots.MODES is constants.MODES

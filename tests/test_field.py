@@ -171,6 +171,12 @@ class TestRendering:
             with pytest.raises(ValueError):
                 parse_scalar(bad)
 
+    def test_parse_rejects_non_ascii_digits(self):
+        # a rational is ASCII digits; other Unicode decimal digits are text
+        for bad in ("\u0663/\u0664*phi", "\uff17", "1 + \u0663"):
+            with pytest.raises(ValueError, match="cannot parse scalar"):
+                parse_scalar(bad)
+
     @given(exts)
     @settings(max_examples=150)
     def test_parse_render_roundtrip(self, x):

@@ -1,11 +1,12 @@
-"""The package surface, and which heavy modules a command loads.
+"""The package surface, and which modules a command loads.
 
-Only `project` builds a convex hull, so only `project` (or first use of
-a hull name from the package) may import numpy and scipy; every other
-command starts without them.  Each import check runs in a fresh
-interpreter with src/ first on PYTHONPATH, because this process has
-long since imported the hull stack.
+`import phi8` loads no submodule, and each command loads only the
+modules it runs.  Only `project` builds a convex hull, so only `project`
+(or first use of a hull name from the package) may import numpy and
+scipy.  Each import check runs in a fresh interpreter with src/ first on
+PYTHONPATH, because this process has long since imported everything.
 """
+import functools
 import os
 import subprocess
 import sys
@@ -17,13 +18,16 @@ import phi8
 
 ROOT = Path(__file__).resolve().parent.parent
 HEAVY = ("numpy", "scipy", "scipy.spatial")
+WATCHED = (*HEAVY, "json", "traceback", "dataclasses")
 
-# runs phi8.cli.main(argv), then reports on stderr which HEAVY modules it loaded
+# runs phi8.cli.main(argv), then reports on stderr which WATCHED modules
+# and phi8 submodules it loaded
 RUN_MAIN = f"""
 import sys
 from phi8.cli import main
 code = main(sys.argv[1:])
-sys.stderr.write("loaded: " + " ".join(m for m in {HEAVY!r} if m in sys.modules) + "\\n")
+loaded = [m for m in sys.modules if m in {WATCHED!r} or m.startswith("phi8.")]
+sys.stderr.write("loaded: " + " ".join(loaded) + "\\n")
 sys.exit(code)
 """
 
@@ -40,12 +44,13 @@ def fresh_python(code, *argv):
     )
 
 
+@functools.cache
 def loaded_by(*argv):
     proc = fresh_python(RUN_MAIN, *argv)
     assert proc.returncode == 0, proc.stderr
     last = proc.stderr.splitlines()[-1]
     assert last.startswith("loaded:"), proc.stderr
-    return set(last.split()[1:])
+    return frozenset(last.split()[1:])
 
 
 class TestImportCost:
@@ -61,11 +66,43 @@ class TestImportCost:
         ids=("verify", "powers", "dump", "roots", "lattice"),
     )
     def test_command_loads_no_hull_stack(self, argv):
-        assert loaded_by(*argv) == set()
+        assert loaded_by(*argv).isdisjoint(HEAVY)
 
     def test_project_loads_scipy_spatial(self):
         # positive control: the probe does see the import when it happens
         assert "scipy.spatial" in loaded_by("project", "--dims", "2,3,4")
+
+    @pytest.mark.parametrize(
+        "argv, absent, present",
+        (
+            (("dump", "U"),
+             ("phi8.identities", "phi8.roots", "phi8.lattice", "phi8.hulls",
+              "json", "traceback", "dataclasses"),
+             ("phi8.constants", "phi8.field", "phi8.matrix")),
+            (("roots", "--max-height", "30"),
+             ("phi8.identities", "phi8.lattice"), ("phi8.roots",)),
+            (("verify",), ("phi8.roots", "phi8.lattice"), ("phi8.identities",)),
+            (("powers", "-n", "12"), ("phi8.roots", "phi8.lattice"), ("phi8.identities",)),
+            # positive controls: the probe sees the modules a command does use
+            (("lattice",), ("phi8.hulls",),
+             ("phi8.lattice", "phi8.roots", "phi8.identities", "dataclasses")),
+            (("verify", "--json"), ("phi8.roots", "phi8.lattice"),
+             ("phi8.identities", "json")),
+        ),
+        ids=("dump", "roots", "verify", "powers", "lattice", "verify-json"),
+    )
+    def test_command_loads_only_its_modules(self, argv, absent, present):
+        loaded = loaded_by(*argv)
+        assert loaded.isdisjoint(absent)
+        assert loaded >= set(present)
+
+    def test_import_phi8_loads_no_submodule(self):
+        proc = fresh_python(
+            "import sys, phi8\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('phi8.')))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
     def test_from_phi8_import_hulls_loads_the_submodule(self):
         proc = fresh_python(
@@ -94,6 +131,10 @@ class TestPackageApi:
                      "build_vertices", "tally_all"):
             assert getattr(phi8, name) is getattr(hulls, name)
         assert phi8.tally_all is phi8.hulls.tally_all
+
+    def test_submodules_resolve(self):
+        for name in ("constants", "field", "matrix", "identities", "roots", "lattice", "hulls"):
+            assert getattr(phi8, name) is sys.modules[f"phi8.{name}"]
 
     def test_unknown_attribute_names_it(self):
         with pytest.raises(AttributeError, match="no_such_name"):
