@@ -5,13 +5,15 @@ signs through a basis matrix, give 240 points in 8 dimensions.  Picking
 three coordinates projects them to 3-space, where repeated convex hull
 peeling splits the cloud into nested polyhedral shells.
 
-Vertex coordinates and projections are kept exact until the hull step;
-only qhull sees floats.
+Each vertex set indexes its exact coordinate values once; a projection
+then tallies and sorts integer ranks, and its floats are read from that
+index.  Only qhull and the affine-rank SVD work on floats.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -29,10 +31,36 @@ EDGE_EQUAL_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
+class CoordinateIndex:
+    """Every exact coordinate value of a vertex set, computed once.
+
+    ``values[k]`` holds the distinct values of coordinate k in ascending
+    order and ``floats[k]`` their ``to_float()``; ``ranks[k][i]`` is the
+    position of point i's coordinate k in ``values[k]``.  Ranks preserve
+    order, so sorting rank tuples sorts the exact tuples they stand for.
+    """
+
+    values: tuple[tuple[GoldenExt, ...], ...]
+    floats: tuple[tuple[float, ...], ...]
+    ranks: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
 class VertexSet:
     basis_name: str
     positive_root_count: int
     points: tuple[ExactPoint, ...]
+
+    @cached_property
+    def index(self) -> CoordinateIndex:
+        columns = list(zip(*self.points))
+        values = tuple(tuple(sorted(set(col))) for col in columns)
+        floats = tuple(tuple(v.to_float() for v in vals) for vals in values)
+        ranks = tuple(
+            tuple(map({v: r for r, v in enumerate(vals)}.__getitem__, col))
+            for vals, col in zip(values, columns)
+        )
+        return CoordinateIndex(values, floats, ranks)
 
 
 def default_roots() -> list[RootRecord]:
@@ -56,26 +84,35 @@ class Projection:
     dims: tuple[int, int, int]
     points: tuple[tuple[GoldenExt, GoldenExt, GoldenExt], ...]
     multiplicities: tuple[int, ...]
+    float_points: tuple[tuple[float, float, float], ...]
 
     def float_array(self) -> np.ndarray:
-        return np.array(
-            [[x.to_float() for x in p] for p in self.points], dtype=float
-        )
+        return np.array(self.float_points, dtype=float)
 
 
 def project(vset: VertexSet, dims: Sequence[int]) -> Projection:
-    """Select three 1-based coordinates and collapse coincident images."""
+    """Select three 1-based coordinates and collapse coincident images.
+
+    Works on the rank triples of ``vset.index``: no exact value is
+    hashed, compared or converted here.
+    """
     dims_t = tuple(dims)
     if len(dims_t) != 3 or len(set(dims_t)) != 3:
         raise ValueError("dims must be three distinct coordinates")
     if any(not (1 <= d <= 8) for d in dims_t):
         raise ValueError("coordinates are numbered 1 through 8")
+    index = vset.index
     idx = [d - 1 for d in dims_t]
-    tally: Counter[tuple[GoldenExt, GoldenExt, GoldenExt]] = Counter()
-    for p in vset.points:
-        tally[(p[idx[0]], p[idx[1]], p[idx[2]])] += 1
+    tally = Counter(zip(*(index.ranks[k] for k in idx)))
     keys = sorted(tally)
-    return Projection(dims_t, tuple(keys), tuple(tally[k] for k in keys))
+    values = [index.values[k] for k in idx]
+    floats = [index.floats[k] for k in idx]
+    return Projection(
+        dims_t,
+        tuple(tuple(col[r] for col, r in zip(values, key)) for key in keys),
+        tuple(tally[k] for k in keys),
+        tuple(tuple(col[r] for col, r in zip(floats, key)) for key in keys),
+    )
 
 
 def _affine_rank(points: np.ndarray) -> int:
@@ -88,12 +125,14 @@ def _affine_rank(points: np.ndarray) -> int:
     return int(np.sum(sv > AFFINE_RANK_REL_TOL * sv[0]))
 
 
-def _hull_edges(hull: ConvexHull) -> set[tuple[int, int]]:
-    edges: set[tuple[int, int]] = set()
-    for simplex in hull.simplices:
-        for a, b in combinations(sorted(int(i) for i in simplex), 2):
-            edges.add((a, b))
-    return edges
+def _hull_edges(hull: ConvexHull) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (a, b), a < b, of the distinct edges of the triangulated hull."""
+    tri = np.sort(hull.simplices, axis=1).astype(np.intp)
+    n = len(hull.points)
+    codes = np.unique(np.concatenate([tri[:, 0] * n + tri[:, 1],
+                                      tri[:, 0] * n + tri[:, 2],
+                                      tri[:, 1] * n + tri[:, 2]]))
+    return codes // n, codes % n
 
 
 @dataclass(frozen=True)
@@ -109,22 +148,22 @@ class HullLayer:
 
 def classify_hull(points: np.ndarray, hull: ConvexHull) -> tuple[str, int, float]:
     """Name the shell by vertex count, edge count and edge regularity."""
-    edges = _hull_edges(hull)
-    shell = [int(i) for i in hull.vertices]
-    nv = len(shell)
-    lengths = [float(np.linalg.norm(points[a] - points[b])) for a, b in edges]
-    spread = (max(lengths) - min(lengths)) / max(lengths) if lengths else 0.0
+    a, b = _hull_edges(hull)
+    nv = len(hull.vertices)
+    ne = len(a)
+    d = points[a] - points[b]
+    # sqrt(d . d) edge by edge, the float bits of np.linalg.norm(d[i]);
+    # norm(d, axis=1) sums the squares differently and moves last bits
+    lengths = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+    spread = float((lengths.max() - lengths.min()) / lengths.max()) if ne else 0.0
     equal = spread <= EDGE_EQUAL_REL_TOL
-    degrees: Counter[int] = Counter()
-    for a, b in edges:
-        degrees[a] += 1
-        degrees[b] += 1
-    if nv == 6 and len(edges) == 12 and equal:
-        return "regular octahedron", len(edges), spread
-    if nv == 12 and len(edges) == 30 and all(degrees[i] == 5 for i in shell):
+    degrees = np.bincount(np.concatenate([a, b]), minlength=len(points))
+    if nv == 6 and ne == 12 and equal:
+        return "regular octahedron", ne, spread
+    if nv == 12 and ne == 30 and (degrees[hull.vertices] == 5).all():
         name = "regular icosahedron" if equal else "irregular icosahedron"
-        return name, len(edges), spread
-    return f"other(v={nv})", len(edges), spread
+        return name, ne, spread
+    return f"other(v={nv})", ne, spread
 
 
 def peel_hulls(projection: Projection) -> list[HullLayer]:
@@ -136,25 +175,25 @@ def peel_point_cloud(
     pts: np.ndarray, multiplicities: Sequence[int] | None = None
 ) -> list[HullLayer]:
     pts = np.asarray(pts, dtype=float)
-    mult = list(multiplicities) if multiplicities is not None else [1] * len(pts)
+    mult = np.asarray(multiplicities if multiplicities is not None else [1] * len(pts))
     if len(mult) != len(pts):
         raise ValueError("one multiplicity per point required")
-    order = list(range(len(pts)))
+    order = np.arange(len(pts))
     layers: list[HullLayer] = []
 
-    def layer(label: str, members: list[int], edge_count: int = 0, spread: float = 0.0,
+    def layer(label: str, members: np.ndarray, edge_count: int = 0, spread: float = 0.0,
               faces: tuple[tuple[int, int, int], ...] = ()) -> HullLayer:
         return HullLayer(
             label,
             len(members),
             edge_count,
             spread,
-            tuple(tuple(map(float, pts[i])) for i in members),
-            tuple(mult[i] for i in members),
+            tuple(map(tuple, pts[members].tolist())),
+            tuple(mult[members].tolist()),
             faces,
         )
 
-    while order:
+    while len(order):
         current = pts[order]
         rank = _affine_rank(current)
         if rank < 3:
@@ -167,14 +206,15 @@ def peel_point_cloud(
             # full-rank input should never get here; treat as terminal
             layers.append(layer(f"unresolved(v={len(order)})", order))
             break
-        shell_local = sorted(int(i) for i in hull.vertices)
+        shell_local = np.sort(hull.vertices)
         label, edge_count, spread = classify_hull(current, hull)
-        local_pos = {v: k for k, v in enumerate(shell_local)}
-        faces = (tuple(local_pos[int(i)] for i in simplex) for simplex in hull.simplices)
-        shell = [order[i] for i in shell_local]
-        layers.append(layer(label, shell, edge_count, spread, tuple(sorted(faces))))
-        shell_set = set(shell)
-        order = [i for i in order if i not in shell_set]
+        local_pos = np.empty(len(order), dtype=np.intp)
+        local_pos[shell_local] = np.arange(len(shell_local))
+        faces = tuple(sorted(map(tuple, local_pos[hull.simplices].tolist())))
+        layers.append(layer(label, order[shell_local], edge_count, spread, faces))
+        keep = np.ones(len(order), dtype=bool)
+        keep[shell_local] = False
+        order = order[keep]
     return layers
 
 

@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Iterable
 
 from .constants import build_cmE8, build_hadamard, srE8_rows
@@ -58,22 +59,31 @@ def _scaled_int_vectors(roots: list[Root]) -> list[tuple[int, ...]]:
     return [tuple(x.numerator for x in v) for v in scaled]
 
 
+def _pair_gram(roots: list[Root]) -> Counter[tuple[int, int]]:
+    """Unordered pairs of doubled vectors a, b, counted by (|a|^2 + |b|^2, a.b).
+
+    One integer loop over pairs that serves both the contact count and the
+    inner-product histogram; each norm is computed once per vector.
+    """
+    scaled = _scaled_int_vectors(roots)
+    normed = [(v, sum(map(mul, v, v))) for v in scaled]
+    return Counter(
+        (na + nb, sum(map(mul, a, b))) for (a, na), (b, nb) in combinations(normed, 2)
+    )
+
+
 def count_contact_pairs(roots: list[Root]) -> int:
     """Unordered root pairs at squared distance 2 (inner product 1)."""
-    scaled = _scaled_int_vectors(roots)
-    count = 0
-    for a, b in combinations(scaled, 2):
-        # squared distance 2 in original units = 8 after doubling
-        if sum((x - y) ** 2 for x, y in zip(a, b)) == 8:
-            count += 1
-    return count
+    # squared distance 2 in original units = 8 after doubling
+    return sum(c for (norms, dot), c in _pair_gram(roots).items() if norms - 2 * dot == 8)
 
 
 def inner_product_histogram(roots: list[Root]) -> dict[Fraction, int]:
     """Distribution of <a, b> over unordered distinct pairs."""
     # count 4<a, b> as integers, then build one Fraction per distinct value
-    scaled = _scaled_int_vectors(roots)
-    counts = Counter(sum(x * y for x, y in zip(a, b)) for a, b in combinations(scaled, 2))
+    counts: Counter[int] = Counter()
+    for (_, dot), c in _pair_gram(roots).items():
+        counts[dot] += c
     return {Fraction(k, 4): c for k, c in counts.items()}
 
 

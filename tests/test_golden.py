@@ -47,6 +47,8 @@ CASES = {
     "lattice_json": (("lattice", "--json"), ()),
     "lattice_vertex_coords_json": (("lattice", "--check", "vertex-coords", "--json"), ()),
     "project_all": (("project", "--all"), ()),
+    "project_all_json": (("project", "--all", "--json"), ()),
+    "project_all_cmU_json": (("project", "--all", "--basis", "cmU", "--json"), ()),
     "project_234_json": (
         ("project", "--dims", "2,3,4", "--json", "--obj", "{out}/project_234_obj"),
         PROJECT_234_OBJ,

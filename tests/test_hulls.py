@@ -1,10 +1,13 @@
 """Convex hull peeling, shell classification, and the projection tally."""
 import math
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from phi8 import hulls
+from phi8.field import GoldenExt
 from phi8.hulls import (
     HullReport,
     all_dim_triples,
@@ -12,6 +15,7 @@ from phi8.hulls import (
     build_vertices,
     emit_layer_obj,
     group_by_signature,
+    peel_hulls,
     peel_point_cloud,
     project,
     tally_all,
@@ -159,7 +163,48 @@ class TestVertexSet:
             build_vertices(basis="Q")
 
 
+@pytest.fixture(scope="module")
+def vsets(vset):
+    return {"U": vset, "cmU": build_vertices(basis="cmU")}
+
+
+def reference_projection(vset, dims):
+    """Tally exact triples, sort them exactly, convert coordinate by coordinate."""
+    tally = Counter(tuple(p[d - 1] for d in dims) for p in vset.points)
+    keys = sorted(tally)
+    floats = np.array([[x.to_float() for x in key] for key in keys], dtype=float)
+    return tuple(keys), tuple(tally[k] for k in keys), floats
+
+
 class TestProjection:
+    @pytest.mark.parametrize("basis", ["U", "cmU"])
+    def test_matches_exact_reference(self, vsets, basis):
+        vset = vsets[basis]
+        for dims in all_dim_triples():
+            proj = project(vset, dims)
+            points, mults, floats = reference_projection(vset, dims)
+            assert proj.points == points, dims
+            assert proj.multiplicities == mults, dims
+            arr = proj.float_array()
+            assert arr.dtype == floats.dtype and arr.shape == floats.shape, dims
+            assert arr.tobytes() == floats.tobytes(), dims
+
+    @pytest.mark.parametrize("basis", ["U", "cmU"])
+    def test_projects_without_field_arithmetic(self, vsets, basis, monkeypatch):
+        # once the index is built, a projection only tallies and sorts
+        # integer ranks; any exact compare, hash or conversion would raise
+        vset = vsets[basis]
+        expected = [project(vset, dims) for dims in all_dim_triples()]
+
+        def forbidden(*args):
+            raise AssertionError("exact field operation inside project()")
+
+        for name in ("__lt__", "__eq__", "__hash__", "to_float", "sign"):
+            monkeypatch.setattr(GoldenExt, name, forbidden)
+        got = [project(vset, dims) for dims in all_dim_triples()]
+        monkeypatch.undo()
+        assert got == expected
+
     def test_collapse_with_multiplicity(self, vset):
         proj = project(vset, (2, 3, 4))
         assert sum(proj.multiplicities) == 240
@@ -200,6 +245,46 @@ class TestProjection:
         a = analyze(vset, (1, 2, 3))
         b = analyze(vset, (6, 7, 8))
         assert a.signature == b.signature
+
+
+class TestPeelBookkeeping:
+    @pytest.mark.parametrize("basis", ["U", "cmU"])
+    def test_classify_matches_loop_reference(self, vsets, basis, monkeypatch):
+        # every hull of every projection: edges from a set of simplex
+        # pairs, lengths from np.linalg.norm on one edge, degrees counted
+        classify = hulls.classify_hull
+        seen = []
+
+        def checked(points, hull):
+            edges = sorted({e for s in hull.simplices.tolist() for e in combinations(sorted(s), 2)})
+            a, b = hulls._hull_edges(hull)
+            assert list(zip(a.tolist(), b.tolist())) == edges
+            lengths = [float(np.linalg.norm(points[i] - points[j])) for i, j in edges]
+            spread = (max(lengths) - min(lengths)) / max(lengths)
+            degree = Counter(v for e in edges for v in e)
+            nv, ne, equal = len(hull.vertices), len(edges), spread <= hulls.EDGE_EQUAL_REL_TOL
+            if nv == 6 and ne == 12 and equal:
+                label = "regular octahedron"
+            elif nv == 12 and ne == 30 and all(degree[v] == 5 for v in hull.vertices):
+                label = "regular icosahedron" if equal else "irregular icosahedron"
+            else:
+                label = f"other(v={nv})"
+            got = classify(points, hull)
+            assert got == (label, ne, spread)
+            seen.append(label)
+            return got
+
+        monkeypatch.setattr(hulls, "classify_hull", checked)
+        tally_all(vsets[basis])
+        assert len(set(seen)) >= 3
+
+    def test_layers_partition_the_cloud(self, vset):
+        for dims in all_dim_triples():
+            proj = project(vset, dims)
+            layers = peel_hulls(proj)
+            points = [p for layer in layers for p in layer.points]
+            assert sorted(points) == sorted(map(tuple, proj.float_array().tolist())), dims
+            assert sum(sum(layer.multiplicities) for layer in layers) == 240, dims
 
 
 @pytest.fixture(scope="module")

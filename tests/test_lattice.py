@@ -1,8 +1,12 @@
 """E8 root coordinates, the extended Hamming code, and Construction A."""
 import time
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phi8.lattice import (
     Hamming84,
@@ -67,6 +71,36 @@ class TestRoots:
     def test_closed_under_negation(self, roots):
         rootset = set(roots)
         assert all(tuple(-x for x in v) in rootset for v in roots)
+
+
+# doubled differences of squared length 8, i.e. squared distance 2
+CONTACT_STEPS = ((2, 2, 0, 0, 0, 0, 0, 0), (1,) * 8, (2, 1, 1, 1, 1, 0, 0, 0))
+
+
+@st.composite
+def doubled_vectors(draw):
+    """2-12 vectors with doubled entries in -4..4, norms mixed, each base
+    vector optionally followed by a neighbour one contact step away."""
+    coord = st.integers(-4, 4)
+    out = []
+    for v in draw(st.lists(st.tuples(*[coord] * 8), min_size=2, max_size=6)):
+        out.append(v)
+        if draw(st.booleans()):
+            step = draw(st.permutations(draw(st.sampled_from(CONTACT_STEPS))))
+            signs = draw(st.tuples(*[st.sampled_from((1, -1))] * 8))
+            out.append(tuple(max(-4, min(4, x + s * d)) for x, s, d in zip(v, signs, step)))
+    return [tuple(Fraction(x, 2) for x in v) for v in out]
+
+
+class TestPairKernel:
+    @given(doubled_vectors())
+    @settings(max_examples=150)
+    def test_matches_fraction_brute_force(self, vectors):
+        pairs = list(combinations(vectors, 2))
+        contacts = sum(1 for a, b in pairs if sum((x - y) ** 2 for x, y in zip(a, b)) == 2)
+        histogram = Counter(sum(x * y for x, y in zip(a, b)) for a, b in pairs)
+        assert count_contact_pairs(vectors) == contacts
+        assert inner_product_histogram(vectors) == dict(histogram)
 
 
 class TestHamming:
