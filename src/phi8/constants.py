@@ -110,7 +110,7 @@ def build_cmU() -> ExactMatrix:
     return ExactMatrix(
         [
             [
-                sqrt5_half if i == j else (GoldenScalar(_HALF) if i + j == 7 else GoldenScalar(0))
+                sqrt5_half if i == j else (_HALF if i + j == 7 else 0)
                 for j in range(8)
             ]
             for i in range(8)
@@ -144,7 +144,7 @@ def build_hadamard(q: int) -> ExactMatrix:
 
 def build_srE8() -> ExactMatrix:
     """Norm-2 simple-root rows for E8; Gram matrix is build_cmE8()."""
-    return ExactMatrix([[GoldenScalar(x) for x in row] for row in _SRE8_ROWS])
+    return ExactMatrix(_SRE8_ROWS)
 
 
 def build_cmE8() -> ExactMatrix:
@@ -154,9 +154,7 @@ def build_cmE8() -> ExactMatrix:
 
 def bracket_plus() -> ExactMatrix:
     """Traceless orthogonal involution from odd power sums of U."""
-    return ExactMatrix(
-        [[GoldenScalar(Fraction(x, 2)) for x in row] for row in _BRACKET_PLUS_TABLE]
-    )
+    return ExactMatrix([[Fraction(x, 2) for x in row] for row in _BRACKET_PLUS_TABLE])
 
 
 def bracket_minus() -> ExactMatrix:

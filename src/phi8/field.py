@@ -5,12 +5,18 @@ Every element is stored as five integers (c0, c1, c2, c3, d) meaning
 a**4 = a**2 + 1, d > 0 and gcd(c0, c1, c2, c3, d) = 1.  That normal form
 is unique, so equality and hashing compare integers.
 
-``GoldenExt`` is the whole field, written u + v*sqrt(phi) with u, v in
-Q(phi).  ``GoldenScalar`` is its subfield Q(phi), the elements with
-c1 = c3 = 0, written a + b*phi (phi = a**2); scalar operands give
-scalar results.  A rational element hashes as the equal ``Fraction``,
-and an element of Q(phi) hashes alike as either class.  Floats appear
-only through the explicit ``to_float`` conversion.
+``GoldenExt`` is the one element type, written u + v*sqrt(phi) with u, v
+in Q(phi); every operation returns a ``GoldenExt``.  Lying in the
+subfield Q(phi) (c1 = c3 = 0, written a + b*phi with phi = a**2) is a
+property of a value, tested by ``is_scalar``; the queries that need it
+(``a``, ``b``, ``sqrt5_parts``, ``field_norm``) raise ``ValueError`` on a
+sqrt(phi) component.  ``GoldenScalar(a, b)`` only builds a + b*phi.
+
+One rule, ``coerce``, says what counts as a field element: an ``int``, a
+``Fraction`` or a ``GoldenExt``.  Constructors, arithmetic, equality and
+``ExactMatrix`` all apply it, and anything else, a ``float``, ``str`` or
+``Decimal`` included, is a ``TypeError``.  A rational element hashes as
+the equal ``Fraction``.  Floats appear only through ``to_float``.
 """
 from __future__ import annotations
 
@@ -25,8 +31,7 @@ from typing import Union
 PHI_FLOAT: float = (1.0 + math.sqrt(5.0)) / 2.0
 SQRT_PHI_FLOAT: float = math.sqrt(PHI_FLOAT)
 
-ScalarLike = Union[int, Fraction, "GoldenScalar"]
-ExtLike = Union[int, Fraction, "GoldenScalar", "GoldenExt"]
+FieldLike = Union[int, Fraction, "GoldenExt"]
 
 _HASH = sys.hash_info
 
@@ -50,99 +55,86 @@ def _norm_parts(c0: int, c1: int, c2: int, c3: int) -> tuple[int, int]:
             2 * c0 * c2 + c2 * c2 - c1 * c1 - t - c3 * c3)
 
 
-def _even(x: object) -> tuple[int, int, int]:
-    """(n0, n2, d) with x = (n0 + n2*phi)/d, for a rational or GoldenScalar x."""
-    if isinstance(x, GoldenScalar):
-        c0, _, c2, _, d = x._n
-        return c0, c2, d
-    if type(x) is int:
-        return x, 0, 1
-    f = Fraction(x)  # raises TypeError on a sqrt(phi) component
-    return f.numerator, 0, f.denominator
-
-
 @total_ordering
 class GoldenExt:
     """u + v*sqrt(phi) with u, v in Q(phi); (sqrt phi)^2 = phi."""
 
     __slots__ = ("_n",)
 
-    def __init__(self, u: ExtLike = 0, v: ScalarLike = 0) -> None:
-        if isinstance(u, GoldenExt) and not v:
-            _set_n(self, u._n)
-            return
-        if isinstance(u, GoldenExt) and not isinstance(u, GoldenScalar):
-            raise ValueError("cannot pass v alongside a GoldenExt")
-        u0, u2, ud = _even(u)
-        v0, v2, vd = _even(v)
-        _set_n(self, _normal(u0 * vd, v0 * ud, u2 * vd, v2 * ud, ud * vd))
+    def __init__(self, u: FieldLike = 0, v: FieldLike = 0) -> None:
+        u, v = coerce(u), coerce(v)
+        if v:
+            u0, _, u2, _, ud = u.scalar_part()._n
+            v0, _, v2, _, vd = v.scalar_part()._n
+            u = _make(u0 * vd, v0 * ud, u2 * vd, v2 * ud, ud * vd)
+        _set_n(self, u._n)
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        raise AttributeError("GoldenExt is immutable")
 
-    def __reduce__(self):
-        return _make, (type(self), *self._n)
+    def __getstate__(self) -> tuple[int, int, int, int, int]:
+        return self._n
+
+    def __setstate__(self, n: tuple[int, int, int, int, int]) -> None:
+        _set_n(self, n)
 
     @property
-    def u(self) -> "GoldenScalar":
+    def u(self) -> "GoldenExt":
         c0, _, c2, _, d = self._n
-        return _make(GoldenScalar, c0, 0, c2, 0, d)
+        return _make(c0, 0, c2, 0, d)
 
     @property
-    def v(self) -> "GoldenScalar":
+    def v(self) -> "GoldenExt":
         _, c1, _, c3, d = self._n
-        return _make(GoldenScalar, c1, 0, c3, 0, d)
+        return _make(c1, 0, c3, 0, d)
 
     def __add__(self, other: object) -> "GoldenExt":
-        o = _coerce(other)
-        if o is None:
+        try:
+            b0, b1, b2, b3, bd = coerce(other)._n
+        except TypeError:
             return NotImplemented
         a0, a1, a2, a3, ad = self._n
-        b0, b1, b2, b3, bd = o._n
-        cls = type(self) if type(o) is type(self) else GoldenExt
         if ad == bd:
-            return _make(cls, a0 + b0, a1 + b1, a2 + b2, a3 + b3, ad)
-        return _make(cls, a0 * bd + b0 * ad, a1 * bd + b1 * ad,
+            return _make(a0 + b0, a1 + b1, a2 + b2, a3 + b3, ad)
+        return _make(a0 * bd + b0 * ad, a1 * bd + b1 * ad,
                      a2 * bd + b2 * ad, a3 * bd + b3 * ad, ad * bd)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "GoldenExt":
-        o = _coerce(other)
-        if o is None:
+        try:
+            b0, b1, b2, b3, bd = coerce(other)._n
+        except TypeError:
             return NotImplemented
         a0, a1, a2, a3, ad = self._n
-        b0, b1, b2, b3, bd = o._n
-        cls = type(self) if type(o) is type(self) else GoldenExt
         if ad == bd:
-            return _make(cls, a0 - b0, a1 - b1, a2 - b2, a3 - b3, ad)
-        return _make(cls, a0 * bd - b0 * ad, a1 * bd - b1 * ad,
+            return _make(a0 - b0, a1 - b1, a2 - b2, a3 - b3, ad)
+        return _make(a0 * bd - b0 * ad, a1 * bd - b1 * ad,
                      a2 * bd - b2 * ad, a3 * bd - b3 * ad, ad * bd)
 
     def __rsub__(self, other: object) -> "GoldenExt":
-        o = _coerce(other)
-        if o is None:
+        try:
+            return coerce(other) - self
+        except TypeError:
             return NotImplemented
-        return o - self
 
     def __neg__(self) -> "GoldenExt":
         c0, c1, c2, c3, d = self._n
-        return _make(type(self), -c0, -c1, -c2, -c3, d)
+        return _make(-c0, -c1, -c2, -c3, d)
 
     def __mul__(self, other: object) -> "GoldenExt":
         a0, a1, a2, a3, ad = self._n
         if type(other) is int:
-            return _make(type(self), a0 * other, a1 * other, a2 * other, a3 * other, ad)
-        o = _coerce(other)
-        if o is None:
+            return _make(a0 * other, a1 * other, a2 * other, a3 * other, ad)
+        try:
+            b0, b1, b2, b3, bd = coerce(other)._n
+        except TypeError:
             return NotImplemented
-        b0, b1, b2, b3, bd = o._n
         # degree-6 product, reduced by a^4 = a^2 + 1, a^5 = a^3 + a, a^6 = 2a^2 + 1
         p4 = a1 * b3 + a2 * b2 + a3 * b1
         p5 = a2 * b3 + a3 * b2
         p6 = a3 * b3
         return _make(
-            type(self) if type(o) is type(self) else GoldenExt,
             a0 * b0 + p4 + p6,
             a0 * b1 + a1 * b0 + p5,
             a0 * b2 + a1 * b1 + a2 * b0 + p4 + 2 * p6,
@@ -155,13 +147,13 @@ class GoldenExt:
     def conjugate(self) -> "GoldenExt":
         """sqrt(phi) -> -sqrt(phi)."""
         c0, c1, c2, c3, d = self._n
-        return _make(type(self), c0, -c1, c2, -c3, d)
+        return _make(c0, -c1, c2, -c3, d)
 
-    def ext_norm(self) -> "GoldenScalar":
+    def ext_norm(self) -> "GoldenExt":
         """u^2 - v^2*phi; lies in the golden field, zero only at zero."""
         c0, c1, c2, c3, d = self._n
         n0, n2 = _norm_parts(c0, c1, c2, c3)
-        return _make(GoldenScalar, n0, 0, n2, 0, d * d)
+        return _make(n0, 0, n2, 0, d * d)
 
     def inverse(self) -> "GoldenExt":
         """x^-1 = conj(x) * N' / (N N') with N = x conj(x) in Q(phi), N' its conjugate."""
@@ -169,43 +161,38 @@ class GoldenExt:
         n0, n2 = _norm_parts(c0, c1, c2, c3)
         r = n0 * n0 + n0 * n2 - n2 * n2  # N N', a rational integer
         if r == 0:
-            raise ZeroDivisionError(f"division by zero {type(self).__name__}")
+            raise ZeroDivisionError("division by zero GoldenExt")
         m0, m2 = (n0 + n2) * d, -n2 * d  # d * N'
         # (c0 + c2 phi) N' and (-c1 - c3 phi) N', with phi^2 = phi + 1
         return _make(
-            type(self),
             c0 * m0 + c2 * m2, -(c1 * m0 + c3 * m2),
             c0 * m2 + c2 * m0 + c2 * m2, -(c1 * m2 + c3 * m0 + c3 * m2),
             r,
         )
 
     def __truediv__(self, other: object) -> "GoldenExt":
-        o = _coerce(other)
-        if o is None:
+        try:
+            return self * coerce(other).inverse()
+        except TypeError:
             return NotImplemented
-        return self * o.inverse()
 
     def __rtruediv__(self, other: object) -> "GoldenExt":
-        o = _coerce(other)
-        if o is None:
+        try:
+            return coerce(other) * self.inverse()
+        except TypeError:
             return NotImplemented
-        return o * self.inverse()
 
     def __pow__(self, k: int) -> "GoldenExt":
-        return power(self, k, _make(type(self), 1, 0, 0, 0, 1))
+        return power(self, k, ONE)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, GoldenExt):
-            return self._n == other._n
-        if isinstance(other, (int, Fraction)):
-            return self._n == (other.numerator, 0, 0, 0, other.denominator)
-        return NotImplemented
+        try:
+            return self._n == coerce(other)._n
+        except TypeError:
+            return NotImplemented
 
     def __lt__(self, other: object) -> bool:
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
+        return (self - coerce(other)).sign() < 0
 
     def __hash__(self) -> int:
         c0, c1, c2, c3, d = self._n
@@ -236,13 +223,44 @@ class GoldenExt:
         return su if _sign_q_phi(*_norm_parts(c0, c1, c2, c3)) > 0 else sv
 
     def is_scalar(self) -> bool:
+        """True iff the value lies in Q(phi): no sqrt(phi) component."""
         _, c1, _, c3, _ = self._n
         return not (c1 or c3)
 
-    def scalar_part(self) -> "GoldenScalar":
+    def is_rational(self) -> bool:
+        _, c1, c2, c3, _ = self._n
+        return not (c1 or c2 or c3)
+
+    def is_integer(self) -> bool:
+        return self.is_rational() and self._n[4] == 1
+
+    def scalar_part(self) -> "GoldenExt":
+        """This value, which must lie in Q(phi); ValueError on a sqrt(phi) component."""
         if not self.is_scalar():
             raise ValueError(f"{self} has a sqrt(phi) component")
-        return self.u
+        return self
+
+    @property
+    def a(self) -> Fraction:
+        """a in a + b*phi."""
+        c0, _, _, _, d = self.scalar_part()._n
+        return Fraction(c0, d)
+
+    @property
+    def b(self) -> Fraction:
+        """b in a + b*phi."""
+        _, _, c2, _, d = self.scalar_part()._n
+        return Fraction(c2, d)
+
+    def field_norm(self) -> Fraction:
+        """Product with the Galois conjugate phi -> 1 - phi; rational, zero only at zero."""
+        c0, _, c2, _, d = self.scalar_part()._n
+        return Fraction(c0 * c0 + c0 * c2 - c2 * c2, d * d)
+
+    def sqrt5_parts(self) -> tuple[Fraction, Fraction]:
+        """(p, q) with value p + q*sqrt5."""
+        c0, _, c2, _, d = self.scalar_part()._n
+        return (Fraction(2 * c0 + c2, 2 * d), Fraction(c2, 2 * d))
 
     def to_float(self) -> float:
         c0, c1, c2, c3, d = self._n
@@ -259,58 +277,30 @@ class GoldenExt:
         ])
 
     def __repr__(self) -> str:
-        return f"GoldenExt({self.u!r}, {self.v!r})"
+        c0, c1, c2, c3, d = self._n
+        u, v = (f"GoldenScalar({Fraction(a, d)!r}, {Fraction(b, d)!r})"
+                for a, b in ((c0, c2), (c1, c3)))
+        return f"GoldenExt({u}, {v})" if c1 or c3 else u
 
 
 class GoldenScalar(GoldenExt):
-    """a + b*phi with a, b rational: the elements of GoldenExt with v = 0."""
+    """Builds a + b*phi from a, b in Q(phi); every result is a plain GoldenExt."""
 
     __slots__ = ()
 
-    def __init__(self, a: ScalarLike = 0, b: int | Fraction = 0) -> None:
-        if isinstance(a, GoldenScalar):
-            if b:
-                raise ValueError("cannot pass b alongside a GoldenScalar")
-            _set_n(self, a._n)
-            return
-        a, b = Fraction(a), Fraction(b)
-        _set_n(self, _normal(a.numerator * b.denominator, 0, b.numerator * a.denominator,
-                             0, a.denominator * b.denominator))
-
-    @property
-    def a(self) -> Fraction:
-        return Fraction(self._n[0], self._n[4])
-
-    @property
-    def b(self) -> Fraction:
-        return Fraction(self._n[2], self._n[4])
-
-    def field_norm(self) -> Fraction:
-        """Product with the Galois conjugate phi -> 1 - phi; rational, zero only at zero."""
-        c0, _, c2, _, d = self._n
-        return Fraction(c0 * c0 + c0 * c2 - c2 * c2, d * d)
-
-    def is_rational(self) -> bool:
-        return self._n[2] == 0
-
-    def is_integer(self) -> bool:
-        return self._n[2] == 0 and self._n[4] == 1
-
-    def sqrt5_parts(self) -> tuple[Fraction, Fraction]:
-        """(p, q) with value p + q*sqrt5."""
-        c0, _, c2, _, d = self._n
-        return (Fraction(2 * c0 + c2, 2 * d), Fraction(c2, 2 * d))
-
-    def __repr__(self) -> str:
-        return f"GoldenScalar({self.a!r}, {self.b!r})"
+    def __init__(self, a: FieldLike = 0, b: FieldLike = 0) -> None:
+        a0, _, a2, _, ad = coerce(a).scalar_part()._n
+        b0, _, b2, _, bd = coerce(b).scalar_part()._n
+        # b*phi = b2 + (b0 + b2)*phi, since phi^2 = phi + 1
+        _set_n(self, _normal(a0 * bd + b2 * ad, 0, a2 * bd + (b0 + b2) * ad, 0, ad * bd))
 
 
 _new = object.__new__
 _set_n = GoldenExt._n.__set__
 
 
-def _make(cls: type, c0: int, c1: int, c2: int, c3: int, d: int) -> GoldenExt:
-    x = _new(cls)
+def _make(c0: int, c1: int, c2: int, c3: int, d: int) -> GoldenExt:
+    x = _new(GoldenExt)
     _set_n(x, _normal(c0, c1, c2, c3, d))
     return x
 
@@ -324,6 +314,16 @@ def _normal(c0: int, c1: int, c2: int, c3: int, d: int) -> tuple[int, int, int, 
         if g != 1:
             return c0 // g, c1 // g, c2 // g, c3 // g, d // g
     return c0, c1, c2, c3, d
+
+
+def coerce(x: object) -> GoldenExt:
+    """x as a field element: an int, a Fraction or a GoldenExt; TypeError otherwise."""
+    # the exact type first: ExactMatrix converts every entry of every product
+    if type(x) is GoldenExt or isinstance(x, GoldenExt):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return _make(x.numerator, 0, 0, 0, x.denominator)
+    raise TypeError(f"cannot use {type(x).__name__} as a field element")
 
 
 def power(x, k: int, one):
@@ -344,20 +344,12 @@ def power(x, k: int, one):
     return result
 
 
-def _coerce(other: object) -> GoldenExt | None:
-    if isinstance(other, GoldenExt):
-        return other
-    if isinstance(other, (int, Fraction)):
-        return _make(GoldenScalar, other.numerator, 0, 0, 0, other.denominator)
-    return None
-
-
-ZERO = GoldenScalar(0)
-ONE = GoldenScalar(1)
-PHI = GoldenScalar(0, 1)
-SQRT5 = GoldenScalar(-1, 2)  # 2*phi - 1
-HALF = GoldenScalar(Fraction(1, 2))
-SQRT_PHI = GoldenExt(0, 1)
+ZERO = _make(0, 0, 0, 0, 1)
+ONE = _make(1, 0, 0, 0, 1)
+PHI = _make(0, 0, 1, 0, 1)
+SQRT5 = 2 * PHI - 1
+HALF = _make(1, 0, 0, 0, 2)
+SQRT_PHI = _make(0, 1, 0, 0, 1)
 
 
 def _render_terms(terms: list[tuple[Fraction, str]]) -> str:
@@ -382,7 +374,7 @@ def _render_terms(terms: list[tuple[Fraction, str]]) -> str:
     return "".join(parts) if parts else "0"
 
 
-def sqrt5_form(x: GoldenScalar) -> str:
+def sqrt5_form(x: GoldenExt) -> str:
     """Render in the {1, sqrt5} basis, e.g. '7' or '3*sqrt(5)'."""
     p, q = x.sqrt5_parts()
     return _render_terms([(p, ""), (q, "sqrt(5)")])
@@ -400,13 +392,13 @@ def parse_scalar(text: str) -> GoldenExt:
     literals (p or p/q with q > 0), 'phi', and 'sqrt(phi)'; every term
     after the first starts with a sign.
     """
-    total, pos, end = GoldenExt(0), 0, len(text.rstrip())
+    total, pos, end = ZERO, 0, len(text.rstrip())
     while True:
         m = _TERM_RE.match(text, pos)
         if m is None or (pos and not m.group(1)):
             raise ValueError(f"cannot parse scalar near {text[pos:]!r}")
         signs, product = m.groups()
-        term = GoldenExt(1)
+        term = ONE
         for factor in product.split("*"):
             factor = factor.strip()
             if factor == "phi":
@@ -417,7 +409,7 @@ def parse_scalar(text: str) -> GoldenExt:
                 num, _, den = factor.partition("/")
                 if den and int(den) == 0:
                     raise ValueError(f"zero denominator in {text!r}")
-                term = term * _make(GoldenScalar, int(num), 0, 0, 0, int(den or 1))
+                term = term * _make(int(num), 0, 0, 0, int(den or 1))
         total = total + (-term if signs.count("-") % 2 else term)
         pos = m.end()
         if pos == end:

@@ -75,8 +75,8 @@ def build_vertices(
     if basis not in BASIS_BUILDERS:
         raise ValueError(f"unknown basis {basis!r}; expected one of {sorted(BASIS_BUILDERS)}")
     records = list(roots) if roots is not None else default_roots()
-    points = set(signed_images(records, BASIS_BUILDERS[basis]().rows))
-    return VertexSet(basis, len(records), tuple(sorted(points)))
+    points = dict.fromkeys(signed_images(records, BASIS_BUILDERS[basis]().rows))
+    return VertexSet(basis, len(records), tuple(points))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from .constants import (
     build_U,
     build_U_inv,
 )
-from .field import PHI, SQRT5, GoldenExt, GoldenScalar, sqrt5_form
+from .field import PHI, SQRT5, FieldLike, GoldenExt, sqrt5_form
 from .matrix import CharPoly, ExactMatrix
 
 
@@ -77,8 +77,8 @@ def verify_identity_sum(U: ExactMatrix | None = None) -> IdentityReport:
 @dataclass(frozen=True)
 class PowerPattern:
     n: int
-    sum_scalar: GoldenScalar
-    diff_scalar: GoldenScalar
+    sum_scalar: GoldenExt
+    diff_scalar: GoldenExt
     reports: tuple[IdentityReport, ...]
 
 
@@ -186,7 +186,7 @@ def verify_bracket_properties() -> tuple[IdentityReport, ...]:
     return tuple(reports)
 
 
-def _quartic_even_poly(c6: GoldenScalar, c4: GoldenScalar) -> CharPoly:
+def _quartic_even_poly(c6: FieldLike, c4: FieldLike) -> CharPoly:
     # x^8 + c6 x^6 + c4 x^4 + c6 x^2 + 1 (palindromic, even powers only)
     zero = GoldenExt(0)
     return CharPoly((
@@ -197,12 +197,12 @@ def _quartic_even_poly(c6: GoldenScalar, c4: GoldenScalar) -> CharPoly:
 
 def expected_char_poly_U() -> CharPoly:
     """x^8 - 2*sqrt5*x^6 + 7*x^4 - 2*sqrt5*x^2 + 1."""
-    return _quartic_even_poly(SQRT5 * -2, GoldenScalar(7))
+    return _quartic_even_poly(SQRT5 * -2, 7)
 
 
 def expected_char_poly_involution() -> CharPoly:
     """(x^2 - 1)^4 = x^8 - 4*x^6 + 6*x^4 - 4*x^2 + 1."""
-    return _quartic_even_poly(GoldenScalar(-4), GoldenScalar(6))
+    return _quartic_even_poly(-4, 6)
 
 
 def verify_char_polys() -> tuple[IdentityReport, ...]:
@@ -225,8 +225,7 @@ def verify_char_polys() -> tuple[IdentityReport, ...]:
 def schlafli_probe() -> IdentityReport:
     """Probe whether (1/2)I - (3/2)J reproduces -U^-1.  It does not;
     the report records the residual instead of asserting."""
-    probe = ExactMatrix.identity(8) * GoldenScalar(Fraction(1, 2)) \
-        - build_J() * GoldenScalar(Fraction(3, 2))
+    probe = ExactMatrix.identity(8) * Fraction(1, 2) - build_J() * Fraction(3, 2)
     target = -build_U_inv()
     diff = probe - target
     witness = None

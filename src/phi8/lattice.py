@@ -188,7 +188,7 @@ def construction_a(code: Hamming84 | None = None) -> ConstructionAReport:
         tuple(Fraction(sum(a * b for a, b in zip(u, v)), 2) for v in basis_t)
         for u in basis_t
     )
-    det = ExactMatrix(gram).det().scalar_part()
+    det = ExactMatrix(gram).det()
     if det.b != 0:
         raise AssertionError("Gram determinant left the rationals")
     gram_det = det.a
@@ -200,7 +200,7 @@ def construction_a(code: Hamming84 | None = None) -> ConstructionAReport:
     pos_def = True
     for k in range(1, 9):
         minor = ExactMatrix([row[:k] for row in gram[:k]])
-        if minor.det().scalar_part().sign() <= 0:
+        if minor.det().sign() <= 0:
             pos_def = False
             break
 
@@ -250,7 +250,7 @@ def hadamard_code_correspondence() -> HadamardCorrespondence:
     H = build_hadamard(3)
     mapped: set[tuple[int, ...]] = set()
     for row in H.rows:
-        bits = tuple((1 - int(e.scalar_part().a)) // 2 for e in row)
+        bits = tuple((1 - int(e.a)) // 2 for e in row)
         mapped.add(bits)
         mapped.add(tuple(1 - b for b in bits))
     mapped_t = tuple(sorted(mapped))
@@ -309,10 +309,9 @@ def e8_height_histogram() -> dict[int, int]:
     inv = ExactMatrix(srE8_rows()).inverse()
     inv_rows = []
     for row in inv.rows:
-        parts = [e.scalar_part() for e in row]
-        if any(not p.is_rational() for p in parts):
+        if not all(e.is_rational() for e in row):
             raise AssertionError("rational basis produced an irrational inverse")
-        inv_rows.append([p.a for p in parts])
+        inv_rows.append([e.a for e in row])
     hist: dict[int, int] = {}
     for root in gen_e8_roots():
         coeffs = [

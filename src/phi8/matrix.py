@@ -12,9 +12,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, Sequence
 
-from .field import GoldenExt, GoldenScalar, parse_scalar, power
-
-EntryLike = object  # int | Fraction | GoldenScalar | GoldenExt
+from .field import ONE, ZERO, FieldLike, GoldenExt, coerce, parse_scalar, power
 
 
 class SingularMatrixError(ValueError):
@@ -25,21 +23,13 @@ class SingularMatrixError(ValueError):
         self.column = column
 
 
-def _entry(value: EntryLike) -> GoldenExt:
-    if type(value) is GoldenExt:
-        return value
-    if isinstance(value, (int, Fraction, GoldenScalar)):
-        return GoldenExt(value)
-    raise TypeError(f"cannot use {type(value).__name__} as a matrix entry")
-
-
 class ExactMatrix:
     """Immutable square matrix over GoldenExt."""
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, rows: Iterable[Iterable[EntryLike]]) -> None:
-        converted = tuple(tuple(_entry(e) for e in row) for row in rows)
+    def __init__(self, rows: Iterable[Iterable[FieldLike]]) -> None:
+        converted = tuple(tuple(map(coerce, row)) for row in rows)
         n = len(converted)
         if n == 0:
             raise ValueError("empty matrix")
@@ -107,7 +97,7 @@ class ExactMatrix:
                 ]
             )
         try:
-            s = _entry(other)
+            s = coerce(other)
         except TypeError:
             return NotImplemented
         return ExactMatrix([[e * s for e in row] for row in self.rows])
@@ -115,13 +105,13 @@ class ExactMatrix:
     __rmul__ = __mul__  # the field is commutative
 
     def __truediv__(self, other: object) -> "ExactMatrix":
-        return self * _entry(other).inverse()
+        return self * coerce(other).inverse()
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(list(zip(*self.rows)))
 
     def trace(self) -> GoldenExt:
-        t = GoldenExt(0)
+        t = ZERO
         for i in range(self.n):
             t = t + self.rows[i][i]
         return t
@@ -167,14 +157,14 @@ class ExactMatrix:
         try:
             pivots, swaps, _ = self._gauss_jordan([()] * self.n)
         except SingularMatrixError:
-            return GoldenExt(0)
-        d = prod(pivots, start=GoldenExt(1))
+            return ZERO
+        d = prod(pivots, start=ONE)
         return -d if swaps % 2 else d
 
     def char_poly(self) -> "CharPoly":
         """Faddeev-LeVerrier recursion; divides only by integers."""
         n = self.n
-        coeffs: list[GoldenExt] = [GoldenExt(1)]
+        coeffs: list[GoldenExt] = [ONE]
         m = self
         c = -(m.trace())
         coeffs.append(c)
@@ -239,7 +229,7 @@ class ExactMatrix:
 
 
 def _dot(row: Sequence[GoldenExt], col: Sequence[GoldenExt]) -> GoldenExt:
-    acc = GoldenExt(0)
+    acc = ZERO
     for a, b in zip(row, col):
         if a and b:
             acc = acc + a * b
@@ -252,7 +242,7 @@ class CharPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[GoldenExt, ...]) -> None:
-        if not coeffs or coeffs[0] != GoldenExt(1):
+        if not coeffs or coeffs[0] != ONE:
             raise ValueError("characteristic polynomial must be monic")
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
@@ -278,17 +268,17 @@ class CharPoly:
         n = self.degree
         return all(self.coeffs[i] == self.coeffs[n - i] for i in range(n + 1))
 
-    def scalar_coeffs(self) -> tuple[GoldenScalar, ...]:
-        """Coefficients narrowed to the golden field; raises on residue."""
+    def scalar_coeffs(self) -> tuple[GoldenExt, ...]:
+        """The coefficients, each of which must lie in the golden field; raises on residue."""
         return tuple(c.scalar_part() for c in self.coeffs)
 
-    def rescaled(self, denom_sq: int | Fraction) -> "CharPoly":
+    def rescaled(self, denom_sq: FieldLike) -> "CharPoly":
         """Characteristic polynomial of A/s given this one for A, s^2 = denom_sq.
 
         Coefficient k picks up the factor s^-k; only even k stay rational,
         so every odd coefficient must vanish.
         """
-        denom_sq = Fraction(denom_sq)
+        denom_sq = coerce(denom_sq)
         if denom_sq <= 0:
             raise ValueError("denom_sq must be positive")
         out: list[GoldenExt] = []

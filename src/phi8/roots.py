@@ -90,7 +90,7 @@ def enumerate_roots(A: ExactMatrix, rule: EnumerationRule) -> list[RootRecord]:
                     while p < beta[j] and beta[:j] + (beta[j] - p - 1,) + beta[j + 1:] in weight:
                         p += 1
                     # accept iff p - pairing >= 1, decided exactly
-                    accepted = (GoldenExt(p - 1) - pairing).sign() >= 0
+                    accepted = (pairing - (p - 1)).sign() <= 0
                 if not accepted:
                     continue
                 cand = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
@@ -194,7 +194,7 @@ def emit_hasse_dot(records: list[RootRecord]) -> str:
 
 
 def _integer_weight(r: RootRecord) -> bool:
-    return all(w.is_scalar() and w.scalar_part().is_integer() for w in r.weight)
+    return all(w.is_integer() for w in r.weight)
 
 
 def weights_table(records: list[RootRecord]) -> list[dict[str, object]]:

@@ -2,8 +2,10 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,18 @@ from phi8 import cli, constants, identities, lattice
 from phi8.constants import build_cmU
 from phi8.identities import IdentityReport
 from phi8.matrix import ExactMatrix
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def child_env():
+    """This environment, with the source tree first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def run_cli(capsys, *argv):
@@ -307,6 +321,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "phi8.cli", "powers", "-n", "1"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert "(sqrt(5)) * I" in proc.stdout
@@ -316,5 +331,6 @@ class TestEntryPoint:
             [sys.executable, "-m", "phi8.cli", "no-such-command"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 2

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic in the golden field and its sqrt(phi) extension."""
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from phi8.field import (
     parse_scalar,
     sqrt5_form,
 )
+from phi8.matrix import ExactMatrix
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -127,6 +129,76 @@ class TestGoldenExt:
     def test_pow(self):
         assert SQRT_PHI ** 2 == GoldenExt(PHI)
         assert SQRT_PHI ** -2 == GoldenExt(PHI.inverse())
+
+
+# each entry point gives back an accepted x
+ENTRY_POINTS = {
+    "GoldenExt(x)": GoldenExt,
+    "GoldenExt(0, x)": lambda x: GoldenExt(0, x) / SQRT_PHI,
+    "GoldenScalar(x)": GoldenScalar,
+    "GoldenScalar(0, x)": lambda x: GoldenScalar(0, x) / PHI,
+    "GoldenExt(1) + x": lambda x: GoldenExt(1) + x - 1,
+    "x * ONE": lambda x: x * ONE,
+    "PHI < x": lambda x: (PHI < x, x)[1],
+    "ExactMatrix([[x]])": lambda x: ExactMatrix([[x]])[0][0],
+}
+NEEDS_Q_PHI = ("GoldenExt(0, x)", "GoldenScalar(x)", "GoldenScalar(0, x)")
+ENTRY_INPUTS = {
+    "int": 3, "Fraction": Fraction(-1, 3), "phi": PHI, "GoldenScalar": GoldenScalar(3, -2),
+    "1+sqrt(phi)": 1 + SQRT_PHI, "float": 0.1, "float-dyadic": 0.5, "str": "3",
+    "Decimal": Decimal("0.5"),
+}
+
+
+class TestCoercion:
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("name", ENTRY_INPUTS)
+    def test_one_rule_for_every_entry_point(self, entry, name):
+        call, x = ENTRY_POINTS[entry], ENTRY_INPUTS[name]
+        if not isinstance(x, (int, Fraction, GoldenExt)):
+            with pytest.raises(TypeError):
+                call(x)
+        elif entry in NEEDS_Q_PHI and not GoldenExt(x).is_scalar():
+            with pytest.raises(ValueError, match=r"sqrt\(phi\) component"):
+                call(x)
+        else:
+            assert call(x) == x
+
+
+any_elements = st.one_of(scalars, exts)
+
+
+class TestOneType:
+    @given(any_elements, any_elements, rationals, st.integers(-3, 3))
+    @settings(max_examples=150)
+    def test_every_result_is_golden_ext(self, x, y, q, k):
+        results = [x + y, x - y, x * y, -x, x.conjugate(), x.u, x.v, x.ext_norm(),
+                   x + q, q + x, x - q, q - x, x * q, q * x, x * k, k * x]
+        if y:
+            results += [x / y, q / y]
+        if x:
+            results += [x.inverse(), x ** k]
+        assert all(type(r) is GoldenExt for r in results)
+
+    @given(rationals, rationals)
+    @settings(max_examples=150)
+    def test_scalar_constructor_builds_a_plus_b_phi(self, a, b):
+        s = GoldenScalar(a, b)
+        assert s == a + b * PHI and hash(s) == hash(a + b * PHI)
+        assert (s.a, s.b) == (a, b)
+
+    @given(st.builds(GoldenExt, scalars, scalars.filter(bool)))
+    @settings(max_examples=150)
+    def test_q_phi_queries_reject_sqrt_phi_part(self, x):
+        for query in (lambda: x.a, lambda: x.b, x.sqrt5_parts, x.field_norm):
+            with pytest.raises(ValueError, match=r"sqrt\(phi\) component"):
+                query()
+
+    @given(any_elements)
+    @settings(max_examples=150)
+    def test_repr_round_trip(self, x):
+        names = {"Fraction": Fraction, "GoldenExt": GoldenExt, "GoldenScalar": GoldenScalar}
+        assert eval(repr(x), names) == x
 
 
 class TestHashContract:

@@ -54,7 +54,7 @@ def test_add_and_mul_match_polynomial_arithmetic(x, y):
 @settings(max_examples=150, deadline=None)
 def test_scalar_products_stay_scalar(x, y):
     product = x * y
-    assert isinstance(product, GoldenScalar)
+    assert product.is_scalar()
     assert to_poly(product) == reduced(to_poly(x) * to_poly(y))
 
 

@@ -162,6 +162,15 @@ class TestVertexSet:
         with pytest.raises(ValueError):
             build_vertices(basis="Q")
 
+    @pytest.mark.parametrize("basis", ["U", "cmU"])
+    def test_builds_without_exact_sort(self, basis, monkeypatch):
+        # nothing reads the order of the points, so building them sorts nothing
+        def forbidden(*args):
+            raise AssertionError("exact compare inside build_vertices()")
+
+        monkeypatch.setattr(GoldenExt, "__lt__", forbidden)
+        assert len(build_vertices(basis=basis).points) == 240
+
 
 @pytest.fixture(scope="module")
 def vsets(vset):

@@ -56,8 +56,8 @@ class TestCopyAndPickle:
     """Immutable values survive copy, deepcopy and pickle unchanged."""
 
     @pytest.mark.parametrize("value", [
-        PHI, 3 * SQRT_PHI, build_U(), build_U().char_poly(),
-    ], ids=["PHI", "3*SQRT_PHI", "U", "char_poly_U"])
+        PHI, 3 * SQRT_PHI, GoldenScalar(3, -2), build_U(), build_U().char_poly(),
+    ], ids=["PHI", "3*SQRT_PHI", "GoldenScalar(3,-2)", "U", "char_poly_U"])
     @pytest.mark.parametrize("clone", [
         copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
     ], ids=["copy", "deepcopy", "pickle"])
@@ -185,6 +185,8 @@ class TestCharPoly:
         m = ExactMatrix([[0, 2], [2, 0]])
         cp = m.char_poly().rescaled(4)
         assert cp.scalar_coeffs() == tuple(GoldenScalar(c) for c in (1, 0, -1))
+        with pytest.raises(TypeError):
+            m.char_poly().rescaled(4.0)
 
     def test_rescaled_rejects_odd_coeffs(self):
         m = ExactMatrix([[1, 0], [0, 2]])
