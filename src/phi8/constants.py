@@ -5,11 +5,13 @@ Cartan-like matrix (sqrt5/2 on the diagonal, 1/2 on the antidiagonal).
 J is the exchange matrix, H the Sylvester Hadamard matrix, srE8 a
 norm-2 simple-root basis of the E8 lattice, and cmE8 its Gram matrix,
 the standard E8 Cartan matrix.  Bplus and Bminus are the traceless
-orthogonal involutions factored out of odd powers of U.
+orthogonal involutions factored out of odd powers of U.  Every builder
+is cached: all callers share one immutable instance of each matrix.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .field import GoldenExt, GoldenScalar
 from .matrix import ExactMatrix
@@ -90,6 +92,7 @@ def _from_phi_table(table) -> ExactMatrix:
     )
 
 
+@cache
 def build_U() -> ExactMatrix:
     """The golden fold matrix, scaled by 1/(2*sqrt(phi)).
 
@@ -99,11 +102,13 @@ def build_U() -> ExactMatrix:
     return _from_phi_table(_U_TABLE)
 
 
+@cache
 def build_U_inv() -> ExactMatrix:
     """Inverse of the golden fold matrix, in closed form."""
     return _from_phi_table(_U_INV_TABLE)
 
 
+@cache
 def build_cmU() -> ExactMatrix:
     """(sqrt5/2)*I + (1/2)*J; equal to U*U."""
     sqrt5_half = GoldenScalar(Fraction(-1, 2), 1)
@@ -118,6 +123,7 @@ def build_cmU() -> ExactMatrix:
     )
 
 
+@cache
 def build_J(n: int = 8) -> ExactMatrix:
     """Exchange matrix: ones on the antidiagonal."""
     return ExactMatrix(
@@ -125,6 +131,7 @@ def build_J(n: int = 8) -> ExactMatrix:
     )
 
 
+@cache
 def build_hadamard(q: int) -> ExactMatrix:
     """Sylvester Hadamard matrix of size 2^q with +-1 entries.
 
@@ -142,21 +149,25 @@ def build_hadamard(q: int) -> ExactMatrix:
     )
 
 
+@cache
 def build_srE8() -> ExactMatrix:
     """Norm-2 simple-root rows for E8; Gram matrix is build_cmE8()."""
     return ExactMatrix(_SRE8_ROWS)
 
 
+@cache
 def build_cmE8() -> ExactMatrix:
     """Standard E8 Cartan matrix, Bourbaki node ordering."""
     return ExactMatrix(_CME8_ROWS)
 
 
+@cache
 def bracket_plus() -> ExactMatrix:
     """Traceless orthogonal involution from odd power sums of U."""
     return ExactMatrix([[Fraction(x, 2) for x in row] for row in _BRACKET_PLUS_TABLE])
 
 
+@cache
 def bracket_minus() -> ExactMatrix:
     """Row reversal of bracket_plus; appears in odd power differences."""
     return build_J() * bracket_plus()

@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd
-from typing import Union
+from typing import Iterable, Union
 
 PHI_FLOAT: float = (1.0 + math.sqrt(5.0)) / 2.0
 SQRT_PHI_FLOAT: float = math.sqrt(PHI_FLOAT)
@@ -127,20 +127,10 @@ class GoldenExt:
         if type(other) is int:
             return _make(a0 * other, a1 * other, a2 * other, a3 * other, ad)
         try:
-            b0, b1, b2, b3, bd = coerce(other)._n
+            bn = coerce(other)._n
         except TypeError:
             return NotImplemented
-        # degree-6 product, reduced by a^4 = a^2 + 1, a^5 = a^3 + a, a^6 = 2a^2 + 1
-        p4 = a1 * b3 + a2 * b2 + a3 * b1
-        p5 = a2 * b3 + a3 * b2
-        p6 = a3 * b3
-        return _make(
-            a0 * b0 + p4 + p6,
-            a0 * b1 + a1 * b0 + p5,
-            a0 * b2 + a1 * b1 + a2 * b0 + p4 + 2 * p6,
-            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + p5,
-            ad * bd,
-        )
+        return _make(*_mul_n(self._n, bn))
 
     __rmul__ = __mul__
 
@@ -316,6 +306,38 @@ def _normal(c0: int, c1: int, c2: int, c3: int, d: int) -> tuple[int, int, int, 
     return c0, c1, c2, c3, d
 
 
+def _mul_n(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, int, int, int, int]:
+    """Numerators and denominator of x*y, not normalized: the one product formula."""
+    # degree-6 product, reduced by a^4 = a^2 + 1, a^5 = a^3 + a, a^6 = 2a^2 + 1
+    a0, a1, a2, a3, ad = x
+    b0, b1, b2, b3, bd = y
+    p4 = a1 * b3 + a2 * b2 + a3 * b1
+    p5 = a2 * b3 + a3 * b2
+    p6 = a3 * b3
+    return (a0 * b0 + p4 + p6,
+            a0 * b1 + a1 * b0 + p5,
+            a0 * b2 + a1 * b1 + a2 * b0 + p4 + 2 * p6,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + p5,
+            ad * bd)
+
+
+def dot(xs: Iterable[GoldenExt], ys: Iterable[GoldenExt]) -> GoldenExt:
+    """The sum of x*y over the pairs, summed on raw numerators and normalized once."""
+    s0 = s1 = s2 = s3 = 0
+    sd = 1
+    for x, y in zip(xs, ys):
+        xn, yn = x._n, y._n
+        if xn == _ZERO_N or yn == _ZERO_N:
+            continue
+        t0, t1, t2, t3, td = _mul_n(xn, yn)
+        if td == sd:
+            s0, s1, s2, s3 = s0 + t0, s1 + t1, s2 + t2, s3 + t3
+        else:  # a common denominator, reduced once by _make
+            s0, s1, s2, s3 = s0 * td + t0 * sd, s1 * td + t1 * sd, s2 * td + t2 * sd, s3 * td + t3 * sd
+            sd *= td
+    return _make(s0, s1, s2, s3, sd)
+
+
 def coerce(x: object) -> GoldenExt:
     """x as a field element: an int, a Fraction or a GoldenExt; TypeError otherwise."""
     # the exact type first: ExactMatrix converts every entry of every product
@@ -344,7 +366,8 @@ def power(x, k: int, one):
     return result
 
 
-ZERO = _make(0, 0, 0, 0, 1)
+_ZERO_N = (0, 0, 0, 0, 1)
+ZERO = _make(*_ZERO_N)
 ONE = _make(1, 0, 0, 0, 1)
 PHI = _make(0, 0, 1, 0, 1)
 SQRT5 = 2 * PHI - 1

@@ -6,8 +6,8 @@ probe is informational: it documents a residual instead of asserting.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .constants import (
     bracket_minus,
@@ -22,24 +22,44 @@ from .field import PHI, SQRT5, FieldLike, GoldenExt, sqrt5_form
 from .matrix import CharPoly, ExactMatrix
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     row: int
     col: int
     expected: str
     actual: str
 
     def to_dict(self) -> dict[str, object]:
-        return {"row": self.row, "col": self.col, "expected": self.expected, "actual": self.actual}
+        return self._asdict()
 
 
-@dataclass(frozen=True)
 class IdentityReport:
-    name: str
-    holds: bool
-    witness: Witness | None = None
-    informational: bool = False
-    details: dict[str, object] = field(default_factory=dict)
+    """One named check: whether it holds, its first mismatch and its details."""
+
+    __slots__ = ("name", "holds", "witness", "informational", "details")
+
+    def __init__(self, name: str, holds: bool, witness: Witness | None = None,
+                 informational: bool = False, details: dict[str, object] | None = None) -> None:
+        values = (name, holds, witness, informational, {} if details is None else details)
+        for slot, value in zip(self.__slots__, values):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("IdentityReport is immutable")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, slot) for slot in self.__slots__)
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{slot}={value!r}" for slot, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -74,8 +94,7 @@ def verify_identity_sum(U: ExactMatrix | None = None) -> IdentityReport:
     return _compare("golden_cartan_sum", lhs, ExactMatrix.identity(cmU.n))
 
 
-@dataclass(frozen=True)
-class PowerPattern:
+class PowerPattern(NamedTuple):
     n: int
     sum_scalar: GoldenExt
     diff_scalar: GoldenExt
@@ -156,12 +175,13 @@ def verify_odd_power_forms(n: int) -> tuple[IdentityReport, ...]:
     denom = _phi_half_power(n)
     s_plus = (GoldenExt(PHI ** n) + 1) / denom
     s_minus = (GoldenExt(PHI ** n) - 1) / denom
+    U_n, Uinv_n = U ** n, Uinv ** n
     plus_rep = _compare(
-        f"odd_power_{n}_sum", U ** n + Uinv ** n, -(bracket_plus() * s_plus),
+        f"odd_power_{n}_sum", U_n + Uinv_n, -(bracket_plus() * s_plus),
         details={"scale": str(s_plus)},
     )
     minus_rep = _compare(
-        f"odd_power_{n}_diff", U ** n - Uinv ** n, -(bracket_minus() * s_minus),
+        f"odd_power_{n}_diff", U_n - Uinv_n, -(bracket_minus() * s_minus),
         details={"scale": str(s_minus)},
     )
     return (plus_rep, minus_rep)

@@ -2,7 +2,9 @@
 
 Entries are ``GoldenExt`` values; every operation here is exact.  Inverse
 and determinant share one Gauss-Jordan pass, and ``**`` is the field's
-square-and-multiply loop.  The characteristic polynomial uses the
+square-and-multiply loop; a matrix keeps its inverse and square, so its
+powers share one inverse and one chain of squares.  Each product entry is
+one ``field.dot``.  The characteristic polynomial uses the
 Faddeev-LeVerrier recursion, which only ever divides by integers and
 therefore stays inside the field.
 """
@@ -12,7 +14,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, Sequence
 
-from .field import ONE, ZERO, FieldLike, GoldenExt, coerce, parse_scalar, power
+from .field import ONE, ZERO, FieldLike, GoldenExt, coerce, dot, parse_scalar, power
 
 
 class SingularMatrixError(ValueError):
@@ -24,9 +26,9 @@ class SingularMatrixError(ValueError):
 
 
 class ExactMatrix:
-    """Immutable square matrix over GoldenExt."""
+    """Immutable square matrix over GoldenExt; keeps its inverse and square."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_inverse", "_square")
 
     def __init__(self, rows: Iterable[Iterable[FieldLike]]) -> None:
         converted = tuple(tuple(map(coerce, row)) for row in rows)
@@ -38,6 +40,8 @@ class ExactMatrix:
                 raise ValueError(f"matrix must be square, got row of length {len(row)} in {n}x{n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", converted)
+        object.__setattr__(self, "_inverse", None)
+        object.__setattr__(self, "_square", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ExactMatrix is immutable")
@@ -88,14 +92,12 @@ class ExactMatrix:
 
     def __mul__(self, other: object) -> "ExactMatrix":
         if isinstance(other, ExactMatrix):
+            if other is self:
+                if self._square is None:
+                    object.__setattr__(self, "_square", self._matmul(self))
+                return self._square
             self._check_dim(other)
-            cols = tuple(zip(*other.rows))
-            return ExactMatrix(
-                [
-                    [_dot(row, col) for col in cols]
-                    for row in self.rows
-                ]
-            )
+            return self._matmul(other)
         try:
             s = coerce(other)
         except TypeError:
@@ -103,6 +105,10 @@ class ExactMatrix:
         return ExactMatrix([[e * s for e in row] for row in self.rows])
 
     __rmul__ = __mul__  # the field is commutative
+
+    def _matmul(self, other: "ExactMatrix") -> "ExactMatrix":
+        cols = tuple(zip(*other.rows))
+        return ExactMatrix([[dot(row, col) for col in cols] for row in self.rows])
 
     def __truediv__(self, other: object) -> "ExactMatrix":
         return self * coerce(other).inverse()
@@ -146,8 +152,11 @@ class ExactMatrix:
         return pivots, swaps, [row[n:] for row in work]
 
     def inverse(self) -> "ExactMatrix":
-        """Gauss-Jordan on [self | I]."""
-        return ExactMatrix(self._gauss_jordan(ExactMatrix.identity(self.n).rows)[2])
+        """Gauss-Jordan on [self | I], run once per matrix."""
+        if self._inverse is None:
+            inverse = self._gauss_jordan(ExactMatrix.identity(self.n).rows)[2]
+            object.__setattr__(self, "_inverse", ExactMatrix(inverse))
+        return self._inverse
 
     def __pow__(self, k: int) -> "ExactMatrix":
         return power(self, k, ExactMatrix.identity(self.n))
@@ -187,15 +196,6 @@ class ExactMatrix:
     def is_traceless(self) -> bool:
         return not self.trace()
 
-    def predicates(self) -> dict[str, object]:
-        return {
-            "trace": self.trace(),
-            "det": self.det(),
-            "symmetric": self.is_symmetric(),
-            "orthogonal": self.is_orthogonal(),
-            "traceless": self.is_traceless(),
-        }
-
     def to_literal(self) -> str:
         """Render as newline-separated rows of ';'-separated entries."""
         return "\n".join("; ".join(str(e) for e in row) for row in self.rows)
@@ -217,23 +217,8 @@ class ExactMatrix:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_literal(fh.read())
 
-    def pretty(self) -> str:
-        cells = [[str(e) for e in row] for row in self.rows]
-        widths = [max(len(cells[i][j]) for i in range(self.n)) for j in range(self.n)]
-        return "\n".join(
-            "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells
-        )
-
     def __repr__(self) -> str:
         return f"ExactMatrix({self.n}x{self.n})"
-
-
-def _dot(row: Sequence[GoldenExt], col: Sequence[GoldenExt]) -> GoldenExt:
-    acc = ZERO
-    for a, b in zip(row, col):
-        if a and b:
-            acc = acc + a * b
-    return acc
 
 
 class CharPoly:

@@ -18,6 +18,7 @@ from phi8.field import (
     ZERO,
     GoldenExt,
     GoldenScalar,
+    dot,
     parse_scalar,
     sqrt5_form,
 )
@@ -180,6 +181,12 @@ class TestOneType:
             results += [x.inverse(), x ** k]
         assert all(type(r) is GoldenExt for r in results)
 
+    @given(scalars)
+    @settings(max_examples=150)
+    def test_zeroth_and_first_power_of_a_scalar_are_plain(self, x):
+        assert type(x ** 0) is GoldenExt and x ** 0 == ONE
+        assert type(x ** 1) is GoldenExt and x ** 1 == x
+
     @given(rationals, rationals)
     @settings(max_examples=150)
     def test_scalar_constructor_builds_a_plus_b_phi(self, a, b):
@@ -199,6 +206,26 @@ class TestOneType:
     def test_repr_round_trip(self, x):
         names = {"Fraction": Fraction, "GoldenExt": GoldenExt, "GoldenScalar": GoldenScalar}
         assert eval(repr(x), names) == x
+
+
+# zeros, and rationals with unequal denominators, between general elements
+dot_entries = st.one_of(st.just(ZERO), st.builds(GoldenExt, rationals), exts)
+
+
+class TestDot:
+    @given(st.lists(st.tuples(dot_entries, dot_entries), max_size=8))
+    @settings(max_examples=150)
+    def test_matches_sum_of_products(self, pairs):
+        expected = sum((x * y for x, y in pairs), ZERO)
+        result = dot([x for x, _ in pairs], [y for _, y in pairs])
+        assert type(result) is GoldenExt
+        assert result == expected and hash(result) == hash(expected)
+
+    def test_unequal_denominators_and_zeros(self):
+        xs = [HALF, ZERO, GoldenExt(Fraction(1, 3)), SQRT_PHI / 4]
+        ys = [ONE, PHI, 3 * ONE, SQRT_PHI]
+        assert dot(xs, ys) == Fraction(3, 2) + PHI / 4
+        assert dot([], []) == ZERO and dot([ZERO], [PHI]) == ZERO
 
 
 class TestHashContract:

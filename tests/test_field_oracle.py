@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from phi8.field import GoldenExt, GoldenScalar  # noqa: E402
+from phi8.field import GoldenExt, GoldenScalar, dot  # noqa: E402
 
 A = sympy.Symbol("a")
 MODULUS = sympy.Poly(A**4 - A**2 - 1, A, domain=sympy.QQ)
@@ -80,3 +80,12 @@ def test_sign_of_near_cancellation(x, y):
     # a difference of two nearby products probes the opposite-sign branches
     z = x * y - y * x.conjugate()
     assert z.sign() == numeric_sign(z)
+
+
+@given(st.lists(st.tuples(st.one_of(st.just(GoldenExt(0)), exts), exts), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_dot_matches_polynomial_sum(pairs):
+    total = sympy.Poly(0, A, domain=sympy.QQ)
+    for x, y in pairs:
+        total += to_poly(x) * to_poly(y)
+    assert to_poly(dot([x for x, _ in pairs], [y for _, y in pairs])) == reduced(total)

@@ -1,12 +1,21 @@
 """The identity verification suite and its negative controls."""
+import copy
+import json
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from phi8.constants import build_J, build_U
+from phi8.constants import NAMED_MATRICES, build_hadamard, build_J, build_U
 from phi8.field import GoldenScalar
 from phi8.identities import (
     VERIFIER_GROUPS,
+    IdentityReport,
+    Witness,
     run_all,
     run_group,
     schlafli_probe,
@@ -144,3 +153,59 @@ class TestRunners:
     def test_report_dict_shape(self):
         d = run_all()[0].to_dict()
         assert set(d) == {"name", "holds", "informational", "witness", "details"}
+
+    def test_report_record_contract(self):
+        w = Witness(1, 2, "phi", "0")
+        rep = IdentityReport("r", False, w, details={"k": 1})
+        assert rep == IdentityReport("r", False, w, False, {"k": 1})
+        assert rep != IdentityReport("r", True, w, details={"k": 1})
+        assert IdentityReport("r", True).details == {} and IdentityReport("r", True).witness is None
+        assert repr(rep) == ("IdentityReport(name='r', holds=False, witness=Witness(row=1, col=2, "
+                             "expected='phi', actual='0'), informational=False, details={'k': 1})")
+        assert w.to_dict() == {"row": 1, "col": 2, "expected": "phi", "actual": "0"}
+        with pytest.raises(AttributeError):
+            rep.holds = True
+        for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            assert clone(rep) == rep
+
+
+# counts the Gauss-Jordan passes and matrix products of one run_all()
+COUNT_WORK = """
+import json
+from collections import Counter
+from phi8 import identities
+from phi8.matrix import ExactMatrix
+
+calls = Counter()
+for name in ("_gauss_jordan", "_matmul"):
+    def counted(*args, _method=getattr(ExactMatrix, name), _name=name, **kwargs):
+        calls[_name] += 1
+        return _method(*args, **kwargs)
+    setattr(ExactMatrix, name, counted)
+identities.run_all()
+print(json.dumps(calls))
+"""
+
+
+class TestComputedOnce:
+    """Operation counts, not times: each exact matrix is computed once."""
+
+    def test_run_all_work_in_a_fresh_interpreter(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", COUNT_WORK], cwd=root, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        calls = json.loads(proc.stdout)
+        # one inversion each of U, cmU and J*cmU
+        assert 1 <= calls["_gauss_jordan"] <= 3
+        assert 1 <= calls["_matmul"] <= 124
+
+    def test_builders_return_one_instance(self):
+        for builder in (*NAMED_MATRICES.values(), lambda: build_J(3), lambda: build_hadamard(2)):
+            assert builder() is builder()

@@ -141,6 +141,50 @@ class TestEliminationOracle:
                 m.inverse()
 
 
+invertible_matrices = oracle_matrices().filter(lambda m: m.det())
+
+
+def product_chain(m, k):
+    """I * m * ... * m with k factors, one product at a time, never m * m."""
+    out = ExactMatrix.identity(m.n)
+    for _ in range(k):
+        out = out * m
+    return out
+
+
+class TestKeptInverseAndSquare:
+    """A matrix keeps its inverse and square; results match fresh computation."""
+
+    @given(invertible_matrices, st.integers(min_value=-6, max_value=6))
+    @settings(max_examples=150, deadline=None)
+    def test_power_matches_fresh_product_chain(self, m, k):
+        fresh = ExactMatrix(m.rows)
+        first = m ** k
+        assert m ** k == first
+        if k >= 0:
+            assert first == product_chain(fresh, k)
+        else:
+            assert first * product_chain(fresh, -k) == ExactMatrix.identity(m.n)
+
+    @given(invertible_matrices)
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_inverse(self, m):
+        for _ in range(3):
+            assert m * m.inverse() == ExactMatrix.identity(m.n)
+        assert m.inverse() is m.inverse()
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    @given(m=invertible_matrices)
+    @settings(max_examples=50, deadline=None)
+    def test_filled_memo_survives_clone(self, clone, m):
+        inverse, square = m.inverse(), m * m
+        other = clone(m)
+        assert other == m and hash(other) == hash(m) and type(other) is ExactMatrix
+        assert other.inverse() == inverse and other * other == square
+
+
 class TestPowers:
     def test_negative_power(self):
         cm = build_cmU()
@@ -225,11 +269,6 @@ class TestPredicates:
         assert not build_J(3).is_traceless()
         assert build_U().is_symmetric()
 
-    def test_predicates_dict(self):
-        d = build_J().predicates()
-        assert d["symmetric"] is True
-        assert d["orthogonal"] is True
-
 
 class TestLiterals:
     def test_roundtrip(self):
@@ -244,7 +283,3 @@ class TestLiterals:
         p = tmp_path / "m.txt"
         p.write_text(build_cmU().to_literal())
         assert ExactMatrix.from_file(str(p)) == build_cmU()
-
-    def test_pretty_is_aligned(self):
-        lines = build_J(2).pretty().splitlines()
-        assert len({len(l) for l in lines}) == 1

@@ -18,7 +18,7 @@ import phi8
 
 ROOT = Path(__file__).resolve().parent.parent
 HEAVY = ("numpy", "scipy", "scipy.spatial")
-WATCHED = (*HEAVY, "json", "traceback", "dataclasses")
+WATCHED = (*HEAVY, "json", "traceback", "dataclasses", "inspect")
 
 # runs phi8.cli.main(argv), then reports on stderr which WATCHED modules
 # and phi8 submodules it loaded
@@ -81,12 +81,14 @@ class TestImportCost:
              ("phi8.constants", "phi8.field", "phi8.matrix")),
             (("roots", "--max-height", "30"),
              ("phi8.identities", "phi8.lattice"), ("phi8.roots",)),
-            (("verify",), ("phi8.roots", "phi8.lattice"), ("phi8.identities",)),
-            (("powers", "-n", "12"), ("phi8.roots", "phi8.lattice"), ("phi8.identities",)),
+            (("verify",), ("phi8.roots", "phi8.lattice", "dataclasses", "inspect"),
+             ("phi8.identities",)),
+            (("powers", "-n", "12"), ("phi8.roots", "phi8.lattice", "dataclasses", "inspect"),
+             ("phi8.identities",)),
             # positive controls: the probe sees the modules a command does use
             (("lattice",), ("phi8.hulls",),
              ("phi8.lattice", "phi8.roots", "phi8.identities", "dataclasses")),
-            (("verify", "--json"), ("phi8.roots", "phi8.lattice"),
+            (("verify", "--json"), ("phi8.roots", "phi8.lattice", "dataclasses", "inspect"),
              ("phi8.identities", "json")),
         ),
         ids=("dump", "roots", "verify", "powers", "lattice", "verify-json"),
