@@ -139,12 +139,6 @@ class GoldenExt:
         c0, c1, c2, c3, d = self._n
         return _make(c0, -c1, c2, -c3, d)
 
-    def ext_norm(self) -> "GoldenExt":
-        """u^2 - v^2*phi; lies in the golden field, zero only at zero."""
-        c0, c1, c2, c3, d = self._n
-        n0, n2 = _norm_parts(c0, c1, c2, c3)
-        return _make(n0, 0, n2, 0, d * d)
-
     def inverse(self) -> "GoldenExt":
         """x^-1 = conj(x) * N' / (N N') with N = x conj(x) in Q(phi), N' its conjugate."""
         c0, c1, c2, c3, d = self._n

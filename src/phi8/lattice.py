@@ -2,14 +2,17 @@
 
 Everything here is exact: roots are Fraction tuples, codewords are bit
 tuples, and the Construction A lattice carries the 1/sqrt2 scaling as a
-squared factor so the Gram matrix stays rational.  ``CHECK_GROUPS``
-reports the checks of ``phi8 lattice`` as ``IdentityReport`` values.
+squared factor so the Gram matrix stays rational.  The contact count
+and the inner-product histogram share one pair Gram per root list.
+``CHECK_GROUPS`` reports the checks of ``phi8 lattice`` as
+``IdentityReport`` values.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from operator import mul
 from typing import Iterable
@@ -50,7 +53,7 @@ def norm_sq(v: Root) -> Fraction:
     return sum(x * x for x in v)
 
 
-def _scaled_int_vectors(roots: list[Root]) -> list[tuple[int, ...]]:
+def _scaled_int_vectors(roots: tuple[Root, ...]) -> list[tuple[int, ...]]:
     """Doubled coordinates; doubling clears all denominators in the even
     coordinate system, and any other coordinate raises ValueError."""
     scaled = [tuple(2 * x for x in v) for v in roots]
@@ -59,11 +62,14 @@ def _scaled_int_vectors(roots: list[Root]) -> list[tuple[int, ...]]:
     return [tuple(x.numerator for x in v) for v in scaled]
 
 
-def _pair_gram(roots: list[Root]) -> Counter[tuple[int, int]]:
+@lru_cache(maxsize=1)
+def _pair_gram(roots: tuple[Root, ...]) -> Counter[tuple[int, int]]:
     """Unordered pairs of doubled vectors a, b, counted by (|a|^2 + |b|^2, a.b).
 
     One integer loop over pairs that serves both the contact count and the
-    inner-product histogram; each norm is computed once per vector.
+    inner-product histogram; each norm is computed once per vector.  The
+    last Gram is kept, so equal root lists share one build; callers must
+    not mutate the returned Counter.
     """
     scaled = _scaled_int_vectors(roots)
     normed = [(v, sum(map(mul, v, v))) for v in scaled]
@@ -75,14 +81,15 @@ def _pair_gram(roots: list[Root]) -> Counter[tuple[int, int]]:
 def count_contact_pairs(roots: list[Root]) -> int:
     """Unordered root pairs at squared distance 2 (inner product 1)."""
     # squared distance 2 in original units = 8 after doubling
-    return sum(c for (norms, dot), c in _pair_gram(roots).items() if norms - 2 * dot == 8)
+    gram = _pair_gram(tuple(roots))
+    return sum(c for (norms, dot), c in gram.items() if norms - 2 * dot == 8)
 
 
 def inner_product_histogram(roots: list[Root]) -> dict[Fraction, int]:
     """Distribution of <a, b> over unordered distinct pairs."""
     # count 4<a, b> as integers, then build one Fraction per distinct value
     counts: Counter[int] = Counter()
-    for (_, dot), c in _pair_gram(roots).items():
+    for (_, dot), c in _pair_gram(tuple(roots)).items():
         counts[dot] += c
     return {Fraction(k, 4): c for k, c in counts.items()}
 

@@ -214,7 +214,7 @@ class ExactMatrix:
 
     @classmethod
     def from_file(cls, path: str) -> "ExactMatrix":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return cls.from_literal(fh.read())
 
     def __repr__(self) -> str:

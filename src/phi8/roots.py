@@ -193,23 +193,6 @@ def emit_hasse_dot(records: list[RootRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _integer_weight(r: RootRecord) -> bool:
-    return all(w.is_integer() for w in r.weight)
-
-
-def weights_table(records: list[RootRecord]) -> list[dict[str, object]]:
-    """Per-root weight rendering with an integer-valuedness flag."""
-    return [
-        {
-            "coeffs": list(r.coeffs),
-            "height": r.height,
-            "weight": [str(w) for w in r.weight],
-            "integer": _integer_weight(r),
-        }
-        for r in records
-    ]
-
-
 E8_POSITIVE_COUNT = 120
 
 
@@ -239,7 +222,7 @@ def summarize(records: list[RootRecord]) -> dict[str, object]:
         "cumulative_through_8": cum8,
         "distinct_coeff_count": len(roots),
         "distinct_weight_count": len({r.weight for r in roots}),
-        "weights_all_integer": all(_integer_weight(r) for r in roots),
+        "weights_all_integer": all(w.is_integer() for r in roots for w in r.weight),
         "e8_reference": E8_POSITIVE_COUNT,
         "total_matches_e8": len(roots) == E8_POSITIVE_COUNT,
         "cumulative_8_matches_e8": cum8 == E8_POSITIVE_COUNT,

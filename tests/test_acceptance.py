@@ -9,16 +9,15 @@ tolerances that exist at all live in the hull classifier: relative
 edge-length spread 1e-6 and relative singular-value cutoff 1e-9.
 """
 import json
-import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
+from conftest import child_env
 from phi8.constants import (
     bracket_minus,
     bracket_plus,
@@ -49,7 +48,6 @@ from phi8.lattice import (
 from phi8.matrix import ExactMatrix
 from phi8.roots import EnumerationRule, enumerate_roots, summarize
 
-ROOT = Path(__file__).resolve().parent.parent
 EVEN_QUARTIC = (1, 0, -4, 0, 6, 0, -4, 0, 1)
 
 
@@ -203,9 +201,6 @@ def test_criterion_08_projection_tally():
 
 
 def test_criterion_09_cli_determinism(tmp_path):
-    pythonpath = os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
-    )
     commands = (
         ("verify", "--json"),
         ("powers", "-n", "6", "--json"),
@@ -224,7 +219,7 @@ def test_criterion_09_cli_determinism(tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "phi8.cli", *argv],
                 capture_output=True,
-                env={**os.environ, "PHI8_OUT_DIR": str(out_dir), "PYTHONPATH": pythonpath},
+                env={**child_env(), "PHI8_OUT_DIR": str(out_dir)},
             )
             assert proc.returncode == 0, proc.stderr.decode()
             captured["stdout:" + " ".join(argv)] = proc.stdout

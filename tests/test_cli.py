@@ -2,31 +2,18 @@
 import contextlib
 import io
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ROOT, child_env
 from phi8 import cli, constants, identities, lattice
 from phi8.constants import build_cmU
 from phi8.identities import IdentityReport
 from phi8.matrix import ExactMatrix
-
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def child_env():
-    """This environment, with the source tree first on PYTHONPATH."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    return env
 
 
 def run_cli(capsys, *argv):
@@ -241,6 +228,19 @@ class TestMalformedInput:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ("roots", "dump"))
+    def test_byte_order_mark_accepted(self, capsys, tmp_path, command):
+        text = (ROOT / "tests" / "golden" / "a3.txt").read_bytes()
+        path = tmp_path / "a3.txt"
+        argv = ["roots", "--matrix", str(path)] if command == "roots" else ["dump", str(path)]
+        outs = []
+        for data in (text, b"\xef\xbb\xbf" + text):
+            path.write_bytes(data)
+            code = cli.main(argv)
+            outs.append(capsys.readouterr().out)
+            assert code == 0
+        assert outs[0] == outs[1]
 
 
 # Cells valid or not; rows may be ragged.

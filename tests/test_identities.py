@@ -1,15 +1,14 @@
 """The identity verification suite and its negative controls."""
 import copy
 import json
-import os
 import pickle
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+from conftest import ROOT, child_env
 from phi8.constants import NAMED_MATRICES, build_hadamard, build_J, build_U
 from phi8.field import GoldenScalar
 from phi8.identities import (
@@ -191,13 +190,8 @@ class TestComputedOnce:
     """Operation counts, not times: each exact matrix is computed once."""
 
     def test_run_all_work_in_a_fresh_interpreter(self):
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
-            [sys.executable, "-c", COUNT_WORK], cwd=root, env=env,
+            [sys.executable, "-c", COUNT_WORK], cwd=ROOT, env=child_env(),
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,7 @@
 """E8 root coordinates, the extended Hamming code, and Construction A."""
+import json
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ROOT, child_env
 from phi8.lattice import (
     Hamming84,
     check_vertex_coords,
@@ -195,3 +199,32 @@ class TestHeightHistogram:
         hist = e8_height_histogram()
         counts = [hist[h] for h in sorted(hist)]
         assert counts == sorted(counts, reverse=True)
+
+
+# counts the pair Gram builds of one `phi8 lattice`; each build doubles
+# its vectors once through _scaled_int_vectors
+COUNT_GRAMS = """
+import contextlib, io, json
+from phi8 import cli, lattice
+
+builds = 0
+scaled = lattice._scaled_int_vectors
+def counted(roots):
+    global builds
+    builds += 1
+    return scaled(roots)
+lattice._scaled_int_vectors = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["lattice"])
+print(json.dumps({"code": code, "builds": builds}))
+"""
+
+
+class TestComputedOnce:
+    def test_one_pair_gram_per_lattice_command(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", COUNT_GRAMS], cwd=ROOT, env=child_env(),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"code": 0, "builds": 1}

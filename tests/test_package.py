@@ -7,16 +7,14 @@ scipy.  Each import check runs in a fresh interpreter with src/ first on
 PYTHONPATH, because this process has long since imported everything.
 """
 import functools
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import phi8
+from conftest import ROOT, child_env
 
-ROOT = Path(__file__).resolve().parent.parent
 HEAVY = ("numpy", "scipy", "scipy.spatial")
 WATCHED = (*HEAVY, "json", "traceback", "dataclasses", "inspect")
 
@@ -33,10 +31,7 @@ sys.exit(code)
 
 
 def fresh_python(code, *argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
+    env = child_env()
     env.pop("PHI8_OUT_DIR", None)
     return subprocess.run(
         [sys.executable, "-c", code, *argv], cwd=ROOT, env=env,

@@ -5,12 +5,10 @@ find as missing; a rename in phi8 would silently drop those per-layer
 metrics, so this test fails on any missing hook instead.
 """
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, child_env
 
 SCRIPT = """
 import json, sys
@@ -23,12 +21,8 @@ print(json.dumps(tracer.missing))
 
 
 def test_tracer_finds_every_hook():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+        [sys.executable, "-c", SCRIPT], cwd=ROOT, env=child_env(),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
