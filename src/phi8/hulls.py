@@ -86,9 +86,6 @@ class Projection:
     multiplicities: tuple[int, ...]
     float_points: tuple[tuple[float, float, float], ...]
 
-    def float_array(self) -> np.ndarray:
-        return np.array(self.float_points, dtype=float)
-
 
 def project(vset: VertexSet, dims: Sequence[int]) -> Projection:
     """Select three 1-based coordinates and collapse coincident images.
@@ -166,14 +163,10 @@ def classify_hull(points: np.ndarray, hull: ConvexHull) -> tuple[str, int, float
     return f"other(v={nv})", ne, spread
 
 
-def peel_hulls(projection: Projection) -> list[HullLayer]:
-    """Strip convex hull vertex shells until the cloud degenerates."""
-    return peel_point_cloud(projection.float_array(), projection.multiplicities)
-
-
-def peel_point_cloud(
+def peel_hulls(
     pts: np.ndarray, multiplicities: Sequence[int] | None = None
 ) -> list[HullLayer]:
+    """Strip convex hull vertex shells until the cloud degenerates."""
     pts = np.asarray(pts, dtype=float)
     mult = np.asarray(multiplicities if multiplicities is not None else [1] * len(pts))
     if len(mult) != len(pts):
@@ -247,7 +240,7 @@ class HullReport:
 
 def analyze(vset: VertexSet, dims: Sequence[int]) -> HullReport:
     proj = project(vset, dims)
-    layers = peel_hulls(proj)
+    layers = peel_hulls(proj.float_points, proj.multiplicities)
     return HullReport(proj.dims, len(proj.points), tuple(layers))
 
 

@@ -6,6 +6,8 @@ probe is informational: it documents a residual instead of asserting.
 """
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -18,7 +20,7 @@ from .constants import (
     build_U,
     build_U_inv,
 )
-from .field import PHI, SQRT5, FieldLike, GoldenExt, sqrt5_form
+from .field import PHI, PHI_FLOAT, SQRT5, FieldLike, GoldenExt, sqrt5_form
 from .matrix import CharPoly, ExactMatrix
 
 
@@ -109,6 +111,10 @@ def verify_power_pattern(n: int) -> PowerPattern:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    # phi^n has n*log10(phi) digits; past max_n the interpreter refuses to print them
+    max_n = math.floor(sys.get_int_max_str_digits() / math.log10(PHI_FLOAT))
+    if max_n and n > max_n:  # a digit limit of 0 means unlimited
+        raise ValueError(f"n must be at most {max_n}")
     cmU = build_cmU()
     cm_pow = cmU ** n
     cm_neg = cmU ** (-n)

@@ -4,8 +4,8 @@ Everything here is exact: roots are Fraction tuples, codewords are bit
 tuples, and the Construction A lattice carries the 1/sqrt2 scaling as a
 squared factor so the Gram matrix stays rational.  The contact count
 and the inner-product histogram share one pair Gram per root list.
-``CHECK_GROUPS`` reports the checks of ``phi8 lattice`` as
-``IdentityReport`` values.
+Each ``CHECK_GROUPS`` entry is a ``phi8 lattice --check`` group: a
+function that returns its ``IdentityReport`` values directly.
 """
 from __future__ import annotations
 
@@ -106,23 +106,6 @@ class Hamming84:
     generator: tuple[tuple[int, ...], ...]
     codewords: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def standard(cls) -> "Hamming84":
-        gen = (
-            (1, 0, 0, 0, 0, 1, 1, 1),
-            (0, 1, 0, 0, 1, 0, 1, 1),
-            (0, 0, 1, 0, 1, 1, 0, 1),
-            (0, 0, 0, 1, 1, 1, 1, 0),
-        )
-        words = set()
-        for mask in range(16):
-            w = [0] * 8
-            for bit, row in enumerate(gen):
-                if mask & (1 << bit):
-                    w = [(a + b) % 2 for a, b in zip(w, row)]
-            words.add(tuple(w))
-        return cls(gen, tuple(sorted(words)))
-
     def weight_enumerator(self) -> dict[int, int]:
         return weight_enumerator(self.codewords)
 
@@ -141,20 +124,35 @@ class Hamming84:
 
 
 def hamming84() -> Hamming84:
-    return Hamming84.standard()
+    gen = (
+        (1, 0, 0, 0, 0, 1, 1, 1),
+        (0, 1, 0, 0, 1, 0, 1, 1),
+        (0, 0, 1, 0, 1, 1, 0, 1),
+        (0, 0, 0, 1, 1, 1, 1, 0),
+    )
+    words = set()
+    for mask in range(16):
+        w = [0] * 8
+        for bit, row in enumerate(gen):
+            if mask & (1 << bit):
+                w = [(a + b) % 2 for a, b in zip(w, row)]
+        words.add(tuple(w))
+    return Hamming84(gen, tuple(sorted(words)))
 
 
-@dataclass(frozen=True)
-class ConstructionAReport:
-    basis: tuple[tuple[int, ...], ...]
-    gram: tuple[tuple[Fraction, ...], ...]
-    gram_det: Fraction
-    is_even: bool
-    is_positive_definite: bool
-    minimal_vector_count: int
+def _construction_a_gram(code: Hamming84) -> tuple[tuple[Fraction, ...], ...]:
+    """Gram matrix B*B^T / 2 of the Construction A basis of ``code``."""
+    # the generator is systematic (identity in columns 1-4), so 2*e_j fills columns 5-8
+    basis = code.generator + tuple(
+        tuple(2 if k == col else 0 for k in range(8)) for col in range(4, 8)
+    )
+    return tuple(
+        tuple(Fraction(sum(a * b for a, b in zip(u, v)), 2) for v in basis)
+        for u in basis
+    )
 
 
-def construction_a(code: Hamming84 | None = None) -> ConstructionAReport:
+def construction_a() -> list[IdentityReport]:
     """Scaled Construction A lattice {x in Z^8 : x mod 2 in C} / sqrt2.
 
     The 1/sqrt2 never materializes: the Gram matrix is B*B^T / 2, which
@@ -162,39 +160,8 @@ def construction_a(code: Hamming84 | None = None) -> ConstructionAReport:
     code the result is an even unimodular lattice with 240 minimal
     vectors of squared norm 2, the E8 lattice.
     """
-    code = code or hamming84()
-    if len(code.codewords) != 16 or any(len(w) != 8 for w in code.codewords):
-        raise ValueError("Construction A here expects an (8,4) binary code")
-    if not code.is_self_dual() or not code.is_doubly_even():
-        raise ValueError("code must be self-dual and doubly even")
-
-    # GF(2) row reduction to find pivot columns of the generator
-    reduced = [list(row) for row in code.generator]
-    pivots: list[int] = []
-    r = 0
-    for col in range(8):
-        pivot = next((i for i in range(r, len(reduced)) if reduced[i][col]), None)
-        if pivot is None:
-            continue
-        reduced[r], reduced[pivot] = reduced[pivot], reduced[r]
-        for i in range(len(reduced)):
-            if i != r and reduced[i][col]:
-                reduced[i] = [(a + b) % 2 for a, b in zip(reduced[i], reduced[r])]
-        pivots.append(col)
-        r += 1
-    if r != 4:
-        raise ValueError("generator must have rank 4")
-
-    basis = [tuple(row) for row in reduced]
-    for col in range(8):
-        if col not in pivots:
-            basis.append(tuple(2 if k == col else 0 for k in range(8)))
-    basis_t = tuple(basis)
-
-    gram = tuple(
-        tuple(Fraction(sum(a * b for a, b in zip(u, v)), 2) for v in basis_t)
-        for u in basis_t
-    )
+    code = hamming84()
+    gram = _construction_a_gram(code)
     det = ExactMatrix(gram).det()
     if det.b != 0:
         raise AssertionError("Gram determinant left the rationals")
@@ -211,9 +178,13 @@ def construction_a(code: Hamming84 | None = None) -> ConstructionAReport:
             pos_def = False
             break
 
-    codeset = set(code.codewords)
-    count = _count_minimal(codeset)
-    return ConstructionAReport(basis_t, gram, gram_det, is_even, pos_def, count)
+    count = _count_minimal(set(code.codewords))
+    return [
+        IdentityReport("lattice_even", is_even),
+        IdentityReport("lattice_unimodular", gram_det == 1, details={"det": str(gram_det)}),
+        IdentityReport("lattice_positive_definite", pos_def),
+        IdentityReport("lattice_minimal_vectors_240", count == 240, details={"count": count}),
+    ]
 
 
 def _count_minimal(codeset: set[tuple[int, ...]]) -> int:
@@ -240,15 +211,7 @@ def _count_minimal(codeset: set[tuple[int, ...]]) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class HadamardCorrespondence:
-    mapped: tuple[tuple[int, ...], ...]
-    weight_enumerator_matches: bool
-    permutation: tuple[int, ...] | None
-    holds: bool
-
-
-def hadamard_code_correspondence() -> HadamardCorrespondence:
+def hadamard_code_correspondence() -> list[IdentityReport]:
     """Sylvester Hadamard rows and their negations, under (1 - s)/2,
     form the extended Hamming codeword set up to one column permutation.
 
@@ -271,7 +234,11 @@ def hadamard_code_correspondence() -> HadamardCorrespondence:
     holds = permutation is not None and {
         tuple(w[c] for c in permutation) for w in mapped_t
     } == target
-    return HadamardCorrespondence(mapped_t, we_match, permutation, holds)
+    return [
+        IdentityReport("hadamard_weight_enumerator_match", we_match),
+        IdentityReport("hadamard_column_permutation", holds,
+                       details={"permutation": list(permutation) if permutation else None}),
+    ]
 
 
 def _find_column_permutation(
@@ -367,33 +334,11 @@ def _check_hamming() -> list[IdentityReport]:
     ]
 
 
-def _check_construction_a() -> list[IdentityReport]:
-    rep = construction_a()
-    return [
-        IdentityReport("lattice_even", rep.is_even),
-        IdentityReport("lattice_unimodular", rep.gram_det == 1,
-                       details={"det": str(rep.gram_det)}),
-        IdentityReport("lattice_positive_definite", rep.is_positive_definite),
-        IdentityReport("lattice_minimal_vectors_240", rep.minimal_vector_count == 240,
-                       details={"count": rep.minimal_vector_count}),
-    ]
-
-
-def _check_hadamard_map() -> list[IdentityReport]:
-    corr = hadamard_code_correspondence()
-    perm = list(corr.permutation) if corr.permutation else None
-    return [
-        IdentityReport("hadamard_weight_enumerator_match", corr.weight_enumerator_matches),
-        IdentityReport("hadamard_column_permutation", corr.holds,
-                       details={"permutation": perm}),
-    ]
-
-
 # `phi8 lattice --check` name -> its reports, in the order `--check all` runs them
 CHECK_GROUPS = {
     "roots": _check_roots,
     "hamming": _check_hamming,
-    "construction-a": _check_construction_a,
-    "hadamard-map": _check_hadamard_map,
+    "construction-a": construction_a,
+    "hadamard-map": hadamard_code_correspondence,
     "vertex-coords": check_vertex_coords,
 }

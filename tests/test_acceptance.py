@@ -33,7 +33,7 @@ from phi8.field import PHI, SQRT5, GoldenExt, GoldenScalar
 from phi8.hulls import (
     build_vertices,
     group_by_signature,
-    peel_point_cloud,
+    peel_hulls,
     tally_all,
 )
 from phi8.lattice import (
@@ -139,19 +139,22 @@ def test_criterion_06_hamming_construction_a():
     assert code.min_distance() == 4
 
     t0 = time.monotonic()
-    rep = construction_a(code)
+    reports = {r.name: r for r in construction_a()}
     elapsed = time.monotonic() - t0
-    assert rep.is_even
-    assert rep.gram_det == 1
-    assert rep.minimal_vector_count == 240
+    assert reports["lattice_even"].holds
+    assert reports["lattice_unimodular"].holds
+    assert reports["lattice_unimodular"].details == {"det": "1"}
+    assert reports["lattice_minimal_vectors_240"].holds
+    assert reports["lattice_minimal_vectors_240"].details == {"count": 240}
     assert elapsed < 10.0, f"bounded search took {elapsed:.2f}s"
 
-    corr = hadamard_code_correspondence()
-    assert corr.weight_enumerator_matches
-    assert corr.holds and corr.permutation is not None
+    corr = {r.name: r for r in hadamard_code_correspondence()}
+    permutation = corr["hadamard_column_permutation"].details["permutation"]
+    assert corr["hadamard_weight_enumerator_match"].holds
+    assert corr["hadamard_column_permutation"].holds and permutation is not None
     print(
         f"CRITERION 6: PASS - code and even unimodular Gram verified in "
-        f"{elapsed:.2f}s; Hadamard bijection via permutation {corr.permutation}"
+        f"{elapsed:.2f}s; Hadamard bijection via permutation {permutation}"
     )
 
 
@@ -294,7 +297,7 @@ def test_criterion_10_property_suites():
     hull_cases = 0
     for _ in range(110):
         q, _r = np.linalg.qr(np_rng.normal(size=(3, 3)))
-        layers = peel_point_cloud(ico @ q.T * (0.5 + np_rng.random() * 3))
+        layers = peel_hulls(ico @ q.T * (0.5 + np_rng.random() * 3))
         assert layers[0].classification == "regular icosahedron"
         hull_cases += 1
 

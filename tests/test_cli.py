@@ -242,6 +242,20 @@ class TestMalformedInput:
             assert code == 0
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("n, code", [(20575, 0), (20576, 2), (10**21, 2)])
+    def test_powers_within_digit_limit(self, n, code):
+        # phi^20576 has more digits than the default limit of 4300 lets Python print
+        env = {**child_env(), "PYTHONINTMAXSTRDIGITS": "4300"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "phi8.cli", "powers", "-n", str(n)],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == code
+        assert "set_int_max_str_digits" not in proc.stderr
+        if code == 2:
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: ")
+
 
 # Cells valid or not; rows may be ragged.
 _cells = st.one_of(

@@ -161,9 +161,9 @@ class TestRegistry:
         with pytest.raises(ValueError):
             resolve_matrix("no-such-matrix")
 
-    def test_builders_return_fresh_equal_values(self):
-        assert build_U() == build_U()
-        assert build_cmE8() == build_cmE8()
+    def test_builders_return_one_shared_instance(self):
+        assert build_U() is build_U()
+        assert build_cmE8() is build_cmE8()
 
     def test_choice_names_match_registries(self):
         # the CLI offers these names without loading the registries

@@ -16,7 +16,6 @@ from phi8.hulls import (
     emit_layer_obj,
     group_by_signature,
     peel_hulls,
-    peel_point_cloud,
     project,
     tally_all,
 )
@@ -53,7 +52,7 @@ def cube_with_center():
 
 class TestFixtures:
     def test_octahedron(self):
-        layers = peel_point_cloud(octahedron())
+        layers = peel_hulls(octahedron())
         assert len(layers) == 1
         assert layers[0].classification == "regular octahedron"
         assert layers[0].vertex_count == 6
@@ -61,25 +60,25 @@ class TestFixtures:
         assert layers[0].edge_spread <= 1e-12
 
     def test_icosahedron(self):
-        layers = peel_point_cloud(icosahedron())
+        layers = peel_hulls(icosahedron())
         assert len(layers) == 1
         assert layers[0].classification == "regular icosahedron"
         assert layers[0].edge_count == 30
 
     def test_stretched_icosahedron_is_irregular(self):
         pts = icosahedron() @ np.diag([1.0, 1.0, 1.4])
-        layers = peel_point_cloud(pts)
+        layers = peel_hulls(pts)
         assert layers[0].classification == "irregular icosahedron"
 
     def test_cube_with_center(self):
         # triangulated cube facets carry diagonal edges, so it lands in
         # the catch-all bucket; the lone interior point remains
-        layers = peel_point_cloud(cube_with_center())
+        layers = peel_hulls(cube_with_center())
         assert [l.classification for l in layers] == ["other(v=8)", "point"]
 
     def test_collinear(self):
         pts = np.array([[t, 2 * t, -t] for t in range(5)], dtype=float)
-        layers = peel_point_cloud(pts)
+        layers = peel_hulls(pts)
         assert layers == [layers[0]]
         assert layers[0].classification == "collinear(v=5)"
 
@@ -87,23 +86,23 @@ class TestFixtures:
         pts = np.array(
             [[x, y, 2.0] for x in range(3) for y in range(3)], dtype=float
         )
-        layers = peel_point_cloud(pts)
+        layers = peel_hulls(pts)
         assert layers[0].classification == "coplanar(v=9)"
 
     def test_single_point(self):
-        layers = peel_point_cloud(np.array([[1.0, 2.0, 3.0]]))
+        layers = peel_hulls(np.array([[1.0, 2.0, 3.0]]))
         assert layers[0].classification == "point"
 
     def test_nested_octahedra(self):
         pts = np.vstack([octahedron() * 3.0, octahedron()])
-        layers = peel_point_cloud(pts)
+        layers = peel_hulls(pts)
         assert [l.classification for l in layers] == [
             "regular octahedron", "regular octahedron",
         ]
 
     def test_multiplicity_mismatch(self):
         with pytest.raises(ValueError):
-            peel_point_cloud(octahedron(), [1, 2])
+            peel_hulls(octahedron(), [1, 2])
 
     def test_qhull_error_ends_in_one_unresolved_layer(self, monkeypatch):
         def failing_hull(points):
@@ -111,7 +110,7 @@ class TestFixtures:
 
         monkeypatch.setattr(hulls, "ConvexHull", failing_hull)
         pts = octahedron()
-        layers = peel_point_cloud(pts, [1, 2, 3, 4, 5, 6])
+        layers = peel_hulls(pts, [1, 2, 3, 4, 5, 6])
         assert len(layers) == 1
         layer = layers[0]
         assert layer.classification == "unresolved(v=6)"
@@ -130,11 +129,11 @@ class TestRotationInvariance:
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             scale = 0.5 + rng.random() * 4.0
             assert (
-                peel_point_cloud(ico @ q.T * scale)[0].classification
+                peel_hulls(ico @ q.T * scale)[0].classification
                 == "regular icosahedron"
             ), f"case {k}"
             assert (
-                peel_point_cloud(octa @ q.T * scale)[0].classification
+                peel_hulls(octa @ q.T * scale)[0].classification
                 == "regular octahedron"
             ), f"case {k}"
 
@@ -194,7 +193,7 @@ class TestProjection:
             points, mults, floats = reference_projection(vset, dims)
             assert proj.points == points, dims
             assert proj.multiplicities == mults, dims
-            arr = proj.float_array()
+            arr = np.array(proj.float_points, dtype=float)
             assert arr.dtype == floats.dtype and arr.shape == floats.shape, dims
             assert arr.tobytes() == floats.tobytes(), dims
 
@@ -290,9 +289,10 @@ class TestPeelBookkeeping:
     def test_layers_partition_the_cloud(self, vset):
         for dims in all_dim_triples():
             proj = project(vset, dims)
-            layers = peel_hulls(proj)
+            layers = peel_hulls(proj.float_points, proj.multiplicities)
             points = [p for layer in layers for p in layer.points]
-            assert sorted(points) == sorted(map(tuple, proj.float_array().tolist())), dims
+            floats = np.array(proj.float_points, dtype=float)
+            assert sorted(points) == sorted(map(tuple, floats.tolist())), dims
             assert sum(sum(layer.multiplicities) for layer in layers) == 240, dims
 
 
@@ -319,7 +319,7 @@ class TestTally:
 
 class TestObjEmission:
     def test_obj_format(self):
-        layer = peel_point_cloud(octahedron())[0]
+        layer = peel_hulls(octahedron())[0]
         text = emit_layer_obj(layer, "octa")
         lines = text.splitlines()
         assert lines[0] == "o octa"
@@ -331,5 +331,5 @@ class TestObjEmission:
                 assert all(1 <= int(t) <= 6 for t in l.split()[1:])
 
     def test_obj_deterministic(self):
-        layer = peel_point_cloud(icosahedron())[0]
+        layer = peel_hulls(icosahedron())[0]
         assert emit_layer_obj(layer, "ico") == emit_layer_obj(layer, "ico")

@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ROOT, child_env
+from phi8.constants import build_hadamard
 from phi8.lattice import (
-    Hamming84,
+    CHECK_GROUPS,
+    _construction_a_gram,
     check_vertex_coords,
     construction_a,
     count_contact_pairs,
@@ -119,6 +121,11 @@ class TestHamming:
         assert code.is_self_dual()
         assert code.is_doubly_even()
 
+    def test_generator_is_systematic(self):
+        # construction_a takes its basis from this: generator rows plus 2*e_j, j = 5..8
+        identity = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+        assert [row[:4] for row in hamming84().generator] == identity
+
     def test_closed_under_addition(self):
         words = set(hamming84().codewords)
         for u in words:
@@ -129,50 +136,68 @@ class TestHamming:
 class TestConstructionA:
     def test_report(self):
         t0 = time.monotonic()
-        rep = construction_a()
+        reports = {r.name: r for r in construction_a()}
         elapsed = time.monotonic() - t0
-        assert rep.is_even
-        assert rep.gram_det == 1
-        assert rep.is_positive_definite
-        assert rep.minimal_vector_count == 240
+        assert list(reports) == [
+            "lattice_even", "lattice_unimodular", "lattice_positive_definite",
+            "lattice_minimal_vectors_240",
+        ]
+        # lattice_even holds only if every Gram entry is integral
+        assert reports["lattice_even"].holds
+        assert reports["lattice_unimodular"].holds
+        assert reports["lattice_unimodular"].details == {"det": "1"}
+        assert reports["lattice_positive_definite"].holds
+        assert reports["lattice_minimal_vectors_240"].holds
+        assert reports["lattice_minimal_vectors_240"].details == {"count": 240}
         assert elapsed < 10.0
 
-    def test_rejects_wrong_code(self):
-        bad = Hamming84(
-            generator=((1, 0, 0, 0, 0, 0, 0, 1),) * 4,
-            codewords=((0,) * 8,),
-        )
-        with pytest.raises(ValueError):
-            construction_a(bad)
-
     def test_gram_integral(self):
-        rep = construction_a()
-        assert all(g.denominator == 1 for row in rep.gram for g in row)
+        gram = _construction_a_gram(hamming84())
+        assert len(gram) == 8 and all(len(row) == 8 for row in gram)
+        assert all(g.denominator == 1 for row in gram for g in row)
+
+
+def hadamard_words() -> set[tuple[int, ...]]:
+    """Sylvester Hadamard rows under (1 - s)/2, with their complements."""
+    words = set()
+    for row in build_hadamard(3).rows:
+        bits = tuple((1 - int(e.a)) // 2 for e in row)
+        words.add(bits)
+        words.add(tuple(1 - b for b in bits))
+    return words
 
 
 class TestHadamardCorrespondence:
     def test_bijection(self):
-        corr = hadamard_code_correspondence()
-        assert corr.weight_enumerator_matches
-        assert corr.holds
-        assert corr.permutation is not None
-        assert sorted(corr.permutation) == list(range(8))
+        reports = {r.name: r for r in hadamard_code_correspondence()}
+        assert list(reports) == ["hadamard_weight_enumerator_match", "hadamard_column_permutation"]
+        assert reports["hadamard_weight_enumerator_match"].holds
+        assert reports["hadamard_column_permutation"].holds
+        perm = reports["hadamard_column_permutation"].details["permutation"]
+        assert perm is not None
+        assert sorted(perm) == list(range(8))
+        mapped = {tuple(w[c] for c in perm) for w in hadamard_words()}
+        assert mapped == set(hamming84().codewords)
 
     def test_permutation_is_not_identity(self):
         # the raw bit images differ from the systematic codeword set,
         # so the matching permutation must actually move columns
-        corr = hadamard_code_correspondence()
-        assert corr.permutation != tuple(range(8))
-        raw = set(corr.mapped)
-        assert raw != set(hamming84().codewords)
+        _, perm_report = hadamard_code_correspondence()
+        assert perm_report.details["permutation"] != list(range(8))
+        assert hadamard_words() != set(hamming84().codewords)
 
     def test_mapped_is_closed_code(self):
-        corr = hadamard_code_correspondence()
-        words = set(corr.mapped)
+        words = hadamard_words()
         assert len(words) == 16
         for u in words:
             for v in words:
                 assert tuple((a + b) % 2 for a, b in zip(u, v)) in words
+
+
+class TestCheckGroups:
+    def test_groups_are_the_report_functions(self):
+        assert CHECK_GROUPS["construction-a"] is construction_a
+        assert CHECK_GROUPS["hadamard-map"] is hadamard_code_correspondence
 
 
 class TestVertexCoords:
