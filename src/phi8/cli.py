@@ -31,7 +31,6 @@ from .constants import (
     VERIFIER_GROUP_NAMES,
     resolve_matrix,
 )
-from .field import sqrt5_form
 
 
 def _json_dump(obj: object) -> str:
@@ -95,24 +94,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_powers(args: argparse.Namespace) -> int:
     from . import identities
 
-    pattern = identities.verify_power_pattern(args.n)
+    n = args.n
+    reports = identities.verify_power_pattern(n)
+    sum_scalar, diff_scalar = (rep.details["scalar"] for rep in reports[:2])
     if args.json:
         payload = {
-            "n": pattern.n,
-            "sum_scalar": sqrt5_form(pattern.sum_scalar),
-            "diff_scalar": sqrt5_form(pattern.diff_scalar),
-            "reports": [r.to_dict() for r in pattern.reports],
+            "n": n,
+            "sum_scalar": sum_scalar,
+            "diff_scalar": diff_scalar,
+            "reports": [r.to_dict() for r in reports],
         }
         sys.stdout.write(_json_dump(payload))
     else:
-        n = pattern.n
         lines = [
-            f"cmU^{n} + cmU^-{n} = ({sqrt5_form(pattern.sum_scalar)}) * I",
-            f"cmU^{n} - cmU^-{n} = ({sqrt5_form(pattern.diff_scalar)}) * J",
-            *_report_lines(pattern.reports),
+            f"cmU^{n} + cmU^-{n} = ({sum_scalar}) * I",
+            f"cmU^{n} - cmU^-{n} = ({diff_scalar}) * J",
+            *_report_lines(reports),
         ]
         sys.stdout.write("\n".join(lines) + "\n")
-    return _exit_code(pattern.reports)
+    return _exit_code(reports)
 
 
 def cmd_roots(args: argparse.Namespace) -> int:

@@ -424,9 +424,14 @@ def parse_scalar(text: str) -> GoldenExt:
                 term = term * SQRT_PHI
             else:
                 num, _, den = factor.partition("/")
-                if den and int(den) == 0:
+                try:
+                    p, q = int(num), int(den or 1)
+                except ValueError:  # only digits match, so only the digit limit gets here
+                    limit = sys.get_int_max_str_digits()
+                    raise ValueError(f"a number may have at most {limit} digits") from None
+                if q == 0:
                     raise ValueError(f"zero denominator in {text!r}")
-                term = term * _make(int(num), 0, 0, 0, int(den or 1))
+                term = term * _make(p, 0, 0, 0, q)
         total = total + (-term if signs.count("-") % 2 else term)
         pos = m.end()
         if pos == end:

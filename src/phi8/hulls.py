@@ -6,12 +6,14 @@ three coordinates projects them to 3-space, where repeated convex hull
 peeling splits the cloud into nested polyhedral shells.
 
 Each vertex set indexes its exact coordinate values once; a projection
-then tallies and sorts integer ranks, and its floats are read from that
-index.  Only qhull and the affine-rank SVD work on floats.
+then sorts its distinct integer rank triples, and its floats are read
+from that index.  Three decisions are made on floats: the affine rank
+(an SVD against ``AFFINE_RANK_REL_TOL``), edge equality (the relative
+edge spread against ``EDGE_EQUAL_REL_TOL``) and qhull's own merging of
+nearly coplanar facets.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -47,7 +49,6 @@ class CoordinateIndex:
 
 @dataclass(frozen=True)
 class VertexSet:
-    basis_name: str
     positive_root_count: int
     points: tuple[ExactPoint, ...]
 
@@ -76,14 +77,13 @@ def build_vertices(
         raise ValueError(f"unknown basis {basis!r}; expected one of {sorted(BASIS_BUILDERS)}")
     records = list(roots) if roots is not None else default_roots()
     points = dict.fromkeys(signed_images(records, BASIS_BUILDERS[basis]().rows))
-    return VertexSet(basis, len(records), tuple(points))
+    return VertexSet(len(records), tuple(points))
 
 
 @dataclass(frozen=True)
 class Projection:
     dims: tuple[int, int, int]
     points: tuple[tuple[GoldenExt, GoldenExt, GoldenExt], ...]
-    multiplicities: tuple[int, ...]
     float_points: tuple[tuple[float, float, float], ...]
 
 
@@ -100,14 +100,12 @@ def project(vset: VertexSet, dims: Sequence[int]) -> Projection:
         raise ValueError("coordinates are numbered 1 through 8")
     index = vset.index
     idx = [d - 1 for d in dims_t]
-    tally = Counter(zip(*(index.ranks[k] for k in idx)))
-    keys = sorted(tally)
+    keys = sorted(set(zip(*(index.ranks[k] for k in idx))))
     values = [index.values[k] for k in idx]
     floats = [index.floats[k] for k in idx]
     return Projection(
         dims_t,
         tuple(tuple(col[r] for col, r in zip(values, key)) for key in keys),
-        tuple(tally[k] for k in keys),
         tuple(tuple(col[r] for col, r in zip(floats, key)) for key in keys),
     )
 
@@ -139,7 +137,6 @@ class HullLayer:
     edge_count: int
     edge_spread: float
     points: tuple[tuple[float, float, float], ...]
-    multiplicities: tuple[int, ...]
     faces: tuple[tuple[int, int, int], ...]
 
 
@@ -163,14 +160,9 @@ def classify_hull(points: np.ndarray, hull: ConvexHull) -> tuple[str, int, float
     return f"other(v={nv})", ne, spread
 
 
-def peel_hulls(
-    pts: np.ndarray, multiplicities: Sequence[int] | None = None
-) -> list[HullLayer]:
+def peel_hulls(pts: np.ndarray) -> list[HullLayer]:
     """Strip convex hull vertex shells until the cloud degenerates."""
     pts = np.asarray(pts, dtype=float)
-    mult = np.asarray(multiplicities if multiplicities is not None else [1] * len(pts))
-    if len(mult) != len(pts):
-        raise ValueError("one multiplicity per point required")
     order = np.arange(len(pts))
     layers: list[HullLayer] = []
 
@@ -182,7 +174,6 @@ def peel_hulls(
             edge_count,
             spread,
             tuple(map(tuple, pts[members].tolist())),
-            tuple(mult[members].tolist()),
             faces,
         )
 
@@ -240,7 +231,7 @@ class HullReport:
 
 def analyze(vset: VertexSet, dims: Sequence[int]) -> HullReport:
     proj = project(vset, dims)
-    layers = peel_hulls(proj.float_points, proj.multiplicities)
+    layers = peel_hulls(proj.float_points)
     return HullReport(proj.dims, len(proj.points), tuple(layers))
 
 

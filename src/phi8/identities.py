@@ -20,8 +20,8 @@ from .constants import (
     build_U,
     build_U_inv,
 )
-from .field import PHI, PHI_FLOAT, SQRT5, FieldLike, GoldenExt, sqrt5_form
-from .matrix import CharPoly, ExactMatrix
+from .field import PHI, PHI_FLOAT, SQRT5, SQRT_PHI, sqrt5_form
+from .matrix import ExactMatrix
 
 
 class Witness(NamedTuple):
@@ -29,9 +29,6 @@ class Witness(NamedTuple):
     col: int
     expected: str
     actual: str
-
-    def to_dict(self) -> dict[str, object]:
-        return self._asdict()
 
 
 class IdentityReport:
@@ -68,7 +65,7 @@ class IdentityReport:
             "name": self.name,
             "holds": self.holds,
             "informational": self.informational,
-            "witness": self.witness.to_dict() if self.witness else None,
+            "witness": self.witness._asdict() if self.witness else None,
             "details": dict(self.details),
         }
 
@@ -96,18 +93,13 @@ def verify_identity_sum(U: ExactMatrix | None = None) -> IdentityReport:
     return _compare("golden_cartan_sum", lhs, ExactMatrix.identity(cmU.n))
 
 
-class PowerPattern(NamedTuple):
-    n: int
-    sum_scalar: GoldenExt
-    diff_scalar: GoldenExt
-    reports: tuple[IdentityReport, ...]
-
-
-def verify_power_pattern(n: int) -> PowerPattern:
+def verify_power_pattern(n: int) -> tuple[IdentityReport, ...]:
     """cmU^n + cmU^-n = (phi^n + phi^-n) I and the J-difference analogue.
 
     Even n puts the integer on the sum side, odd n on the difference
-    side; the other scalar is an integer multiple of sqrt5.
+    side; the other scalar is an integer multiple of sqrt5.  Returns the
+    sum, difference and parity reports; the first two carry their scalar
+    as ``details["scalar"]``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -143,7 +135,7 @@ def verify_power_pattern(n: int) -> PowerPattern:
             "diff": sqrt5_form(diff_scalar),
         },
     )
-    return PowerPattern(n, sum_scalar, diff_scalar, (sum_rep, diff_rep, parity_rep))
+    return (sum_rep, diff_rep, parity_rep)
 
 
 def verify_row_reversed_swap() -> tuple[IdentityReport, ...]:
@@ -167,20 +159,15 @@ def verify_row_reversed_swap() -> tuple[IdentityReport, ...]:
     return (diff_rep, sum_rep)
 
 
-def _phi_half_power(n: int) -> GoldenExt:
-    """phi^(n/2) for odd n, as phi^((n-1)/2) * sqrt(phi)."""
-    return GoldenExt(0, PHI ** ((n - 1) // 2))
-
-
 def verify_odd_power_forms(n: int) -> tuple[IdentityReport, ...]:
     """U^n +- U^-n = -B(+-) * (phi^n +- 1) / phi^(n/2) for odd n."""
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and positive")
     U = build_U()
     Uinv = build_U_inv()
-    denom = _phi_half_power(n)
-    s_plus = (GoldenExt(PHI ** n) + 1) / denom
-    s_minus = (GoldenExt(PHI ** n) - 1) / denom
+    denom = PHI ** ((n - 1) // 2) * SQRT_PHI  # phi^(n/2) for odd n
+    s_plus = (PHI ** n + 1) / denom
+    s_minus = (PHI ** n - 1) / denom
     U_n, Uinv_n = U ** n, Uinv ** n
     plus_rep = _compare(
         f"odd_power_{n}_sum", U_n + Uinv_n, -(bracket_plus() * s_plus),
@@ -212,35 +199,17 @@ def verify_bracket_properties() -> tuple[IdentityReport, ...]:
     return tuple(reports)
 
 
-def _quartic_even_poly(c6: FieldLike, c4: FieldLike) -> CharPoly:
-    # x^8 + c6 x^6 + c4 x^4 + c6 x^2 + 1 (palindromic, even powers only)
-    zero = GoldenExt(0)
-    return CharPoly((
-        GoldenExt(1), zero, GoldenExt(c6), zero, GoldenExt(c4),
-        zero, GoldenExt(c6), zero, GoldenExt(1),
-    ))
-
-
-def expected_char_poly_U() -> CharPoly:
-    """x^8 - 2*sqrt5*x^6 + 7*x^4 - 2*sqrt5*x^2 + 1."""
-    return _quartic_even_poly(SQRT5 * -2, 7)
-
-
-def expected_char_poly_involution() -> CharPoly:
-    """(x^2 - 1)^4 = x^8 - 4*x^6 + 6*x^4 - 4*x^2 + 1."""
-    return _quartic_even_poly(-4, 6)
-
-
 def verify_char_polys() -> tuple[IdentityReport, ...]:
-    """Characteristic polynomials of U and the normalized Hadamard matrix."""
+    """Characteristic polynomials of U and the normalized Hadamard matrix:
+    x^8 - 2*sqrt5*x^6 + 7*x^4 - 2*sqrt5*x^2 + 1 and (x^2 - 1)^4."""
     cp_u = build_U().char_poly()
-    u_ok = cp_u == expected_char_poly_U() and cp_u.is_palindromic()
+    u_ok = cp_u.coeffs == (1, 0, -2 * SQRT5, 0, 7, 0, -2 * SQRT5, 0, 1) and cp_u.is_palindromic()
     u_rep = IdentityReport(
         "char_poly_U", u_ok,
         details={"coeffs": [str(c) for c in cp_u.coeffs], "palindromic": cp_u.is_palindromic()},
     )
     cp_h = build_hadamard(3).char_poly().rescaled(8)
-    h_ok = cp_h == expected_char_poly_involution() and cp_h.is_palindromic()
+    h_ok = cp_h.coeffs == (1, 0, -4, 0, 6, 0, -4, 0, 1) and cp_h.is_palindromic()
     h_rep = IdentityReport(
         "char_poly_hadamard_normalized", h_ok,
         details={"coeffs": [str(c) for c in cp_h.coeffs], "palindromic": cp_h.is_palindromic()},
@@ -286,7 +255,7 @@ VERIFIER_GROUPS = {
     "products": verify_product_identities,
     "golden-cartan": lambda: [verify_golden_cartan(), verify_identity_sum()],
     "row-reversed": verify_row_reversed_swap,
-    "powers": lambda: [r for n in range(1, 13) for r in verify_power_pattern(n).reports],
+    "powers": lambda: [r for n in range(1, 13) for r in verify_power_pattern(n)],
     "odd-powers": lambda: [r for n in (1, 3, 5, 7, 9) for r in verify_odd_power_forms(n)],
     "brackets": verify_bracket_properties,
     "char-polys": verify_char_polys,

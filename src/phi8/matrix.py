@@ -183,13 +183,6 @@ class ExactMatrix:
             coeffs.append(c)
         return CharPoly(tuple(coeffs))
 
-    def is_symmetric(self) -> bool:
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
-
     def is_orthogonal(self) -> bool:
         return self.transpose() * self == ExactMatrix.identity(self.n)
 
@@ -252,10 +245,6 @@ class CharPoly:
     def is_palindromic(self) -> bool:
         n = self.degree
         return all(self.coeffs[i] == self.coeffs[n - i] for i in range(n + 1))
-
-    def scalar_coeffs(self) -> tuple[GoldenExt, ...]:
-        """The coefficients, each of which must lie in the golden field; raises on residue."""
-        return tuple(c.scalar_part() for c in self.coeffs)
 
     def rescaled(self, denom_sq: FieldLike) -> "CharPoly":
         """Characteristic polynomial of A/s given this one for A, s^2 = denom_sq.

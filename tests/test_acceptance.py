@@ -64,7 +64,7 @@ def test_criterion_01_exact_identity_battery():
 
 def test_criterion_02_characteristic_polynomials():
     cp_U = build_U().char_poly()
-    c = cp_U.scalar_coeffs()
+    c = cp_U.coeffs
     two_sqrt5 = SQRT5 * 2
     expected_U = (
         GoldenScalar(1), GoldenScalar(0), -two_sqrt5, GoldenScalar(0),
@@ -75,7 +75,7 @@ def test_criterion_02_characteristic_polynomials():
     assert cp_U.is_palindromic()
 
     cp_H = build_hadamard(3).char_poly().rescaled(8)
-    assert cp_H.scalar_coeffs() == tuple(GoldenScalar(k) for k in EVEN_QUARTIC)
+    assert cp_H.coeffs == tuple(GoldenScalar(k) for k in EVEN_QUARTIC)
     assert cp_H.is_palindromic()
     print("CRITERION 2: PASS - both char polys coefficient-exact and palindromic")
 
@@ -115,7 +115,7 @@ def test_criterion_04_odd_power_forms():
         assert B.is_traceless()
         assert B.is_orthogonal()
         assert B * B == I
-        assert B.char_poly().scalar_coeffs() == tuple(
+        assert B.char_poly().coeffs == tuple(
             GoldenScalar(k) for k in EVEN_QUARTIC
         )
     print("CRITERION 4: PASS - odd-power bracket forms for n in {1,3,5,7}")

@@ -256,6 +256,28 @@ class TestMalformedInput:
             assert proc.stdout == ""
             assert proc.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ("dump", "roots"))
+    @pytest.mark.parametrize("cell", ("5" * 5001, "1/" + "5" * 5001, "5" * 4300),
+                             ids=("numerator-5001", "denominator-5001", "numerator-4300"))
+    def test_cell_within_digit_limit(self, tmp_path, command, cell):
+        # a cell of more digits than the interpreter converts is a usage error
+        path = tmp_path / "big.txt"
+        path.write_text(f"2; {cell}\n0; 2\n")
+        argv = ["dump", str(path)] if command == "dump" else ["roots", "--matrix", str(path)]
+        env = {**child_env(), "PYTHONINTMAXSTRDIGITS": "4300"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "phi8.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert "set_int_max_str_digits" not in proc.stderr
+        if len(cell) == 4300:
+            assert proc.returncode == 0, proc.stderr
+        else:
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: ")
+            assert "4300 digits" in proc.stderr
+
 
 # Cells valid or not; rows may be ragged.
 _cells = st.one_of(

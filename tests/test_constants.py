@@ -48,7 +48,7 @@ class TestU:
     def test_symmetric_and_centrosymmetric(self):
         U = build_U()
         J = build_J()
-        assert U.is_symmetric()
+        assert U == U.transpose()
         assert J * U * J == U
 
     def test_row_sign_pattern(self):
@@ -142,7 +142,8 @@ class TestE8Constants:
             assert cm[i][i] == GoldenExt(2)
 
     def test_cartan_symmetric(self):
-        assert build_cmE8().is_symmetric()
+        cm = build_cmE8()
+        assert cm == cm.transpose()
 
 
 class TestRegistry:

@@ -49,6 +49,10 @@ CASES = {
     "project_all": (("project", "--all"), ()),
     "project_all_json": (("project", "--all", "--json"), ()),
     "project_all_cmU_json": (("project", "--all", "--basis", "cmU", "--json"), ()),
+    "project_all_cmU_csv": (
+        ("project", "--all", "--basis", "cmU", "--csv", "{out}/project_all_cmU.csv"),
+        ("project_all_cmU.csv",),
+    ),
     "project_234_json": (
         ("project", "--dims", "2,3,4", "--json", "--obj", "{out}/project_234_obj"),
         PROJECT_234_OBJ,

@@ -100,23 +100,18 @@ class TestFixtures:
             "regular octahedron", "regular octahedron",
         ]
 
-    def test_multiplicity_mismatch(self):
-        with pytest.raises(ValueError):
-            peel_hulls(octahedron(), [1, 2])
-
     def test_qhull_error_ends_in_one_unresolved_layer(self, monkeypatch):
         def failing_hull(points):
             raise hulls.QhullError("forced failure")
 
         monkeypatch.setattr(hulls, "ConvexHull", failing_hull)
         pts = octahedron()
-        layers = peel_hulls(pts, [1, 2, 3, 4, 5, 6])
+        layers = peel_hulls(pts)
         assert len(layers) == 1
         layer = layers[0]
         assert layer.classification == "unresolved(v=6)"
         assert (layer.vertex_count, layer.edge_count, layer.faces) == (6, 0, ())
         assert layer.points == tuple(tuple(p) for p in pts.tolist())
-        assert layer.multiplicities == (1, 2, 3, 4, 5, 6)
 
 
 class TestRotationInvariance:
@@ -177,11 +172,10 @@ def vsets(vset):
 
 
 def reference_projection(vset, dims):
-    """Tally exact triples, sort them exactly, convert coordinate by coordinate."""
-    tally = Counter(tuple(p[d - 1] for d in dims) for p in vset.points)
-    keys = sorted(tally)
+    """Collect distinct exact triples, sort them exactly, convert coordinate by coordinate."""
+    keys = sorted({tuple(p[d - 1] for d in dims) for p in vset.points})
     floats = np.array([[x.to_float() for x in key] for key in keys], dtype=float)
-    return tuple(keys), tuple(tally[k] for k in keys), floats
+    return tuple(keys), floats
 
 
 class TestProjection:
@@ -190,9 +184,8 @@ class TestProjection:
         vset = vsets[basis]
         for dims in all_dim_triples():
             proj = project(vset, dims)
-            points, mults, floats = reference_projection(vset, dims)
+            points, floats = reference_projection(vset, dims)
             assert proj.points == points, dims
-            assert proj.multiplicities == mults, dims
             arr = np.array(proj.float_points, dtype=float)
             assert arr.dtype == floats.dtype and arr.shape == floats.shape, dims
             assert arr.tobytes() == floats.tobytes(), dims
@@ -215,8 +208,10 @@ class TestProjection:
 
     def test_collapse_with_multiplicity(self, vset):
         proj = project(vset, (2, 3, 4))
-        assert sum(proj.multiplicities) == 240
+        assert len(vset.points) == 240
         assert len(proj.points) == 181
+        # every vertex lands on a projected point, and each point is some vertex's image
+        assert {tuple(p[d - 1] for d in (2, 3, 4)) for p in vset.points} == set(proj.points)
 
     def test_projection_validation(self, vset):
         for bad in ((1, 2), (1, 2, 2), (0, 1, 2), (7, 8, 9)):
@@ -289,11 +284,11 @@ class TestPeelBookkeeping:
     def test_layers_partition_the_cloud(self, vset):
         for dims in all_dim_triples():
             proj = project(vset, dims)
-            layers = peel_hulls(proj.float_points, proj.multiplicities)
+            layers = peel_hulls(proj.float_points)
             points = [p for layer in layers for p in layer.points]
             floats = np.array(proj.float_points, dtype=float)
             assert sorted(points) == sorted(map(tuple, floats.tolist())), dims
-            assert sum(sum(layer.multiplicities) for layer in layers) == 240, dims
+            assert sum(l.vertex_count for l in layers) == len(proj.points), dims
 
 
 @pytest.fixture(scope="module")

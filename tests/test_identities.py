@@ -10,7 +10,6 @@ import pytest
 
 from conftest import ROOT, child_env
 from phi8.constants import NAMED_MATRICES, build_hadamard, build_J, build_U
-from phi8.field import GoldenScalar
 from phi8.identities import (
     VERIFIER_GROUPS,
     IdentityReport,
@@ -64,18 +63,20 @@ class TestCoreIdentities:
 class TestPowerPatterns:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_pattern_holds(self, n):
-        pat = verify_power_pattern(n)
-        for rep in pat.reports:
+        for rep in verify_power_pattern(n):
             assert rep.holds, rep.name
+
+    @staticmethod
+    def scalars(n):
+        """The (sum, diff) scalars of one power pattern, as rendered."""
+        return tuple(rep.details["scalar"] for rep in verify_power_pattern(n)[:2])
 
     def test_small_scalars(self):
         # n=1: sum sqrt5, diff 1; n=2: sum 3, diff sqrt5; n=4: 7 and 3*sqrt5
-        assert verify_power_pattern(1).sum_scalar == GoldenScalar(-1, 2)
-        assert verify_power_pattern(1).diff_scalar == GoldenScalar(1)
-        assert verify_power_pattern(2).sum_scalar == GoldenScalar(3)
-        assert verify_power_pattern(4).sum_scalar == GoldenScalar(7)
-        assert verify_power_pattern(4).diff_scalar == GoldenScalar(-3, 6)
-        assert verify_power_pattern(10).sum_scalar == GoldenScalar(123)
+        assert self.scalars(1) == ("sqrt(5)", "1")
+        assert self.scalars(2)[0] == "3"
+        assert self.scalars(4) == ("7", "3*sqrt(5)")
+        assert self.scalars(10)[0] == "123"
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -85,9 +86,7 @@ class TestPowerPatterns:
         # integer sides follow the Lucas (even n) and Fibonacci patterns
         lucas = {2: 3, 4: 7, 6: 18, 8: 47, 10: 123}
         for n, expect in lucas.items():
-            pat = verify_power_pattern(n)
-            p, q = pat.sum_scalar.sqrt5_parts()
-            assert (p, q) == (expect, 0)
+            assert self.scalars(n)[0] == str(expect)
 
 
 class TestOddPowers:
@@ -149,6 +148,14 @@ class TestRunners:
         with pytest.raises(ValueError):
             run_group("nope")
 
+    def test_one_report_shape(self):
+        for name, group in VERIFIER_GROUPS.items():
+            assert all(type(r) is IdentityReport for r in group()), name
+        for n in (1, 2, 37):
+            reports = verify_power_pattern(n)
+            assert type(reports) is tuple and len(reports) == 3, n
+            assert all(type(r) is IdentityReport for r in reports), n
+
     def test_report_dict_shape(self):
         d = run_all()[0].to_dict()
         assert set(d) == {"name", "holds", "informational", "witness", "details"}
@@ -161,7 +168,7 @@ class TestRunners:
         assert IdentityReport("r", True).details == {} and IdentityReport("r", True).witness is None
         assert repr(rep) == ("IdentityReport(name='r', holds=False, witness=Witness(row=1, col=2, "
                              "expected='phi', actual='0'), informational=False, details={'k': 1})")
-        assert w.to_dict() == {"row": 1, "col": 2, "expected": "phi", "actual": "0"}
+        assert rep.to_dict()["witness"] == {"row": 1, "col": 2, "expected": "phi", "actual": "0"}
         with pytest.raises(AttributeError):
             rep.holds = True
         for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
