@@ -427,12 +427,19 @@ def parse_scalar(text: str) -> GoldenExt:
                 try:
                     p, q = int(num), int(den or 1)
                 except ValueError:  # only digits match, so only the digit limit gets here
-                    limit = sys.get_int_max_str_digits()
-                    raise ValueError(f"a number may have at most {limit} digits") from None
+                    raise _digit_limit_error() from None
                 if q == 0:
                     raise ValueError(f"zero denominator in {text!r}")
                 term = term * _make(p, 0, 0, 0, q)
         total = total + (-term if signs.count("-") % 2 else term)
         pos = m.end()
         if pos == end:
+            # a product or sum of in-limit numbers may still be too long to print
+            limit, big = sys.get_int_max_str_digits(), max(map(abs, total._n))
+            if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+                raise _digit_limit_error()
             return total
+
+
+def _digit_limit_error() -> ValueError:
+    return ValueError(f"a number may have at most {sys.get_int_max_str_digits()} digits")

@@ -10,12 +10,11 @@ function that returns its ``IdentityReport`` values directly.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .constants import build_cmE8, build_hadamard, srE8_rows
 from .identities import IdentityReport
@@ -99,8 +98,7 @@ def weight_enumerator(words: Iterable[tuple[int, ...]]) -> dict[int, int]:
     return dict(Counter(sum(w) for w in words))
 
 
-@dataclass(frozen=True)
-class Hamming84:
+class Hamming84(NamedTuple):
     """The (8,4) extended Hamming code from a systematic generator."""
 
     generator: tuple[tuple[int, ...], ...]

@@ -14,29 +14,26 @@ pairing entry vanishes and no other relation truncates a string.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .constants import MODES
 from .field import GoldenExt
 from .matrix import ExactMatrix
 
 
-@dataclass(frozen=True)
 class EnumerationRule:
-    mode: str = "normalized-pairing"
-    max_height: int = 10
-    dedup: bool = True
+    __slots__ = ("mode", "max_height", "dedup")
 
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
-        if self.max_height < 1:
+    def __init__(self, mode: str = "normalized-pairing", max_height: int = 10,
+                 dedup: bool = True) -> None:
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
+        if max_height < 1:
             raise ValueError("max_height must be at least 1")
+        self.mode, self.max_height, self.dedup = mode, max_height, dedup
 
 
-@dataclass(frozen=True)
-class RootRecord:
+class RootRecord(NamedTuple):
     coeffs: tuple[int, ...]
     height: int
     weight: tuple[GoldenExt, ...]

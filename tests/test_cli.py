@@ -257,10 +257,15 @@ class TestMalformedInput:
             assert proc.stderr.startswith("error: ")
 
     @pytest.mark.parametrize("command", ("dump", "roots"))
-    @pytest.mark.parametrize("cell", ("5" * 5001, "1/" + "5" * 5001, "5" * 4300),
-                             ids=("numerator-5001", "denominator-5001", "numerator-4300"))
+    @pytest.mark.parametrize(
+        "cell",
+        ("5" * 5001, "1/" + "5" * 5001, "5" * 4300, "9" * 3000 + "*" + "9" * 3000,
+         f"1/{10**2999 + 1} + 1/{10**2999 + 3}"),
+        ids=("numerator-5001", "denominator-5001", "numerator-4300", "product-3000x3000",
+             "sum-3000+3000"))
     def test_cell_within_digit_limit(self, tmp_path, command, cell):
-        # a cell of more digits than the interpreter converts is a usage error
+        # a cell of more digits than the interpreter converts is a usage error,
+        # also when only its product or sum of in-limit numbers has that many
         path = tmp_path / "big.txt"
         path.write_text(f"2; {cell}\n0; 2\n")
         argv = ["dump", str(path)] if command == "dump" else ["roots", "--matrix", str(path)]

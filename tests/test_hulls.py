@@ -171,6 +171,11 @@ def vsets(vset):
     return {"U": vset, "cmU": build_vertices(basis="cmU")}
 
 
+def exact_points(vset, proj):
+    """The exact triples that a projection's value ids stand for."""
+    return tuple(tuple(vset.index.values[r] for r in key) for key in proj.keys)
+
+
 def reference_projection(vset, dims):
     """Collect distinct exact triples, sort them exactly, convert coordinate by coordinate."""
     keys = sorted({tuple(p[d - 1] for d in dims) for p in vset.points})
@@ -185,7 +190,7 @@ class TestProjection:
         for dims in all_dim_triples():
             proj = project(vset, dims)
             points, floats = reference_projection(vset, dims)
-            assert proj.points == points, dims
+            assert exact_points(vset, proj) == points, dims
             arr = np.array(proj.float_points, dtype=float)
             assert arr.dtype == floats.dtype and arr.shape == floats.shape, dims
             assert arr.tobytes() == floats.tobytes(), dims
@@ -209,9 +214,10 @@ class TestProjection:
     def test_collapse_with_multiplicity(self, vset):
         proj = project(vset, (2, 3, 4))
         assert len(vset.points) == 240
-        assert len(proj.points) == 181
+        assert len(proj.keys) == 181
         # every vertex lands on a projected point, and each point is some vertex's image
-        assert {tuple(p[d - 1] for d in (2, 3, 4)) for p in vset.points} == set(proj.points)
+        images = {tuple(p[d - 1] for d in (2, 3, 4)) for p in vset.points}
+        assert images == set(exact_points(vset, proj))
 
     def test_projection_validation(self, vset):
         for bad in ((1, 2), (1, 2, 2), (0, 1, 2), (7, 8, 9)):
@@ -253,14 +259,15 @@ class TestProjection:
 class TestPeelBookkeeping:
     @pytest.mark.parametrize("basis", ["U", "cmU"])
     def test_classify_matches_loop_reference(self, vsets, basis, monkeypatch):
-        # every hull of every projection: edges from a set of simplex
-        # pairs, lengths from np.linalg.norm on one edge, degrees counted
+        # every hull of every projection, each peeled directly: edges from
+        # a set of simplex pairs, lengths from np.linalg.norm on one edge,
+        # degrees counted
         classify = hulls.classify_hull
         seen = []
 
         def checked(points, hull):
             edges = sorted({e for s in hull.simplices.tolist() for e in combinations(sorted(s), 2)})
-            a, b = hulls._hull_edges(hull)
+            a, b = hulls._edges(hull.simplices, len(points))
             assert list(zip(a.tolist(), b.tolist())) == edges
             lengths = [float(np.linalg.norm(points[i] - points[j])) for i, j in edges]
             spread = (max(lengths) - min(lengths)) / max(lengths)
@@ -278,7 +285,9 @@ class TestPeelBookkeeping:
             return got
 
         monkeypatch.setattr(hulls, "classify_hull", checked)
-        tally_all(vsets[basis])
+        for dims in all_dim_triples():
+            analyze(vsets[basis], dims)
+        assert len(seen) == {"U": 524, "cmU": 1200}[basis]
         assert len(set(seen)) >= 3
 
     def test_layers_partition_the_cloud(self, vset):
@@ -288,7 +297,7 @@ class TestPeelBookkeeping:
             points = [p for layer in layers for p in layer.points]
             floats = np.array(proj.float_points, dtype=float)
             assert sorted(points) == sorted(map(tuple, floats.tolist())), dims
-            assert sum(l.vertex_count for l in layers) == len(proj.points), dims
+            assert sum(l.vertex_count for l in layers) == len(proj.keys), dims
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +319,39 @@ class TestTally:
         d = reports[0].to_dict()
         assert d["dims"] == [1, 2, 3]
         assert isinstance(d["signature"], str)
+
+
+class TestTallyRelabels:
+    """``tally_all`` peels one triple per class; ``analyze`` is the oracle."""
+
+    @pytest.mark.parametrize("basis", ["U", "cmU"])
+    def test_equals_direct_peel(self, vsets, basis):
+        vset = vsets[basis]
+        direct = [analyze(vset, dims) for dims in all_dim_triples()]
+        tallied = tally_all(vset)
+        assert [r.to_dict() for r in tallied] == [r.to_dict() for r in direct]
+        for got, want in zip(tallied, direct):
+            for g, w in zip(got.layers, want.layers):
+                assert g.points == w.points, got.dims
+                # a relabelled triangle may list its vertices in another order
+                assert {frozenset(f) for f in g.faces} == {frozenset(f) for f in w.faces}, got.dims
+                assert len(g.faces) == len(w.faces), got.dims
+
+    @pytest.mark.parametrize("basis, clouds, calls", [("U", 6, 53), ("cmU", 2, 40)])
+    def test_peels_one_cloud_per_class(self, vsets, basis, clouds, calls, monkeypatch):
+        counts = Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                counts[name] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(hulls, "ConvexHull", counting("qhull", hulls.ConvexHull))
+        monkeypatch.setattr(hulls, "peel_hulls", counting("peel", hulls.peel_hulls))
+        monkeypatch.setattr(hulls, "project", counting("project", hulls.project))
+        tally_all(vsets[basis])
+        assert counts == {"qhull": calls, "peel": clouds, "project": 56}
 
 
 class TestObjEmission:

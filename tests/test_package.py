@@ -65,7 +65,7 @@ class TestImportCost:
 
     def test_project_loads_scipy_spatial(self):
         # positive control: the probe does see the import when it happens
-        assert "scipy.spatial" in loaded_by("project", "--dims", "2,3,4")
+        assert {"scipy.spatial", "dataclasses"} <= loaded_by("project", "--dims", "2,3,4")
 
     @pytest.mark.parametrize(
         "argv, absent, present",
@@ -75,14 +75,14 @@ class TestImportCost:
               "json", "traceback", "dataclasses"),
              ("phi8.constants", "phi8.field", "phi8.matrix")),
             (("roots", "--max-height", "30"),
-             ("phi8.identities", "phi8.lattice"), ("phi8.roots",)),
+             ("phi8.identities", "phi8.lattice", "dataclasses"), ("phi8.roots",)),
             (("verify",), ("phi8.roots", "phi8.lattice", "dataclasses", "inspect"),
              ("phi8.identities",)),
             (("powers", "-n", "12"), ("phi8.roots", "phi8.lattice", "dataclasses", "inspect"),
              ("phi8.identities",)),
             # positive controls: the probe sees the modules a command does use
-            (("lattice",), ("phi8.hulls",),
-             ("phi8.lattice", "phi8.roots", "phi8.identities", "dataclasses")),
+            (("lattice",), ("phi8.hulls", "dataclasses"),
+             ("phi8.lattice", "phi8.roots", "phi8.identities")),
             (("verify", "--json"), ("phi8.roots", "phi8.lattice", "dataclasses", "inspect"),
              ("phi8.identities", "json")),
         ),
