@@ -12,13 +12,16 @@ on floats: the affine rank (an SVD against ``AFFINE_RANK_REL_TOL``),
 edge equality (the relative edge spread against ``EDGE_EQUAL_REL_TOL``)
 and qhull's own merging of nearly coplanar facets.
 
-``analyze`` (``project --dims``) peels directly.  ``tally_all``
+``_shells`` is the one place where qhull output is read: each shell is
+its member rows, triangles and edge endpoints, as index arrays on the
+projected points.  ``_layer`` is the one builder of a ``HullLayer`` from
+a shell.  ``analyze`` (``project --dims``) peels directly.  ``tally_all``
 (``project --all``) peels one triple per class, triples whose point sets
-are equal up to the order of the columns, and relabels the others.  A
-column order is an isometry, and every hull here is simplicial with no
-two coplanar facets, so layers and edges carry over, and each spread,
-recomputed on the triple's own floats, has the bits of a direct peel;
-only the vertex order within a triangle may differ.
+are equal up to the order of the columns, and maps those shells onto
+the others.  A column order is an isometry, and every hull here is
+simplicial with no two coplanar facets, so layers and edges carry over,
+and each spread, computed on the triple's own floats, has the bits of a
+direct peel; only the vertex order within a triangle may differ.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .constants import BASIS_BUILDERS, build_cmU
 from .field import GoldenExt
-from .roots import EnumerationRule, RootRecord, enumerate_roots, signed_images
+from .roots import EnumerationRule, enumerate_roots, signed_images
 
 ExactPoint = tuple[GoldenExt, ...]
 
@@ -71,18 +74,11 @@ class VertexSet:
                                tuple(tuple(map(rank, col)) for col in columns))
 
 
-def default_roots() -> list[RootRecord]:
-    rule = EnumerationRule(mode="pair-coupling", max_height=8)
-    return enumerate_roots(build_cmU(), rule)
-
-
-def build_vertices(
-    roots: Sequence[RootRecord] | None = None, basis: str = "U"
-) -> VertexSet:
-    """Map root coefficient vectors through a basis matrix, both signs."""
+def build_vertices(basis: str = "U") -> VertexSet:
+    """Map the cmU pair-coupling roots to height 8 through a basis matrix, both signs."""
     if basis not in BASIS_BUILDERS:
         raise ValueError(f"unknown basis {basis!r}; expected one of {sorted(BASIS_BUILDERS)}")
-    records = list(roots) if roots is not None else default_roots()
+    records = enumerate_roots(build_cmU(), EnumerationRule(mode="pair-coupling", max_height=8))
     points = dict.fromkeys(signed_images(records, BASIS_BUILDERS[basis]().rows))
     return VertexSet(len(records), tuple(points))
 
@@ -123,13 +119,13 @@ def _affine_rank(points: np.ndarray) -> int:
     return int(np.sum(sv > AFFINE_RANK_REL_TOL * sv[0]))
 
 
-def _edges(triangles: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints (a, b), a < b, of the distinct edges of triangles on points 0..n-1."""
+def _edges(triangles: np.ndarray, n: int) -> np.ndarray:
+    """Endpoints [a, b], a < b, of the distinct edges of triangles on points 0..n-1."""
     tri = np.sort(triangles, axis=1).astype(np.intp)
     codes = np.unique(np.concatenate([tri[:, 0] * n + tri[:, 1],
                                       tri[:, 0] * n + tri[:, 2],
                                       tri[:, 1] * n + tri[:, 2]]))
-    return codes // n, codes % n
+    return np.stack(np.divmod(codes, n))
 
 
 def _edge_spread(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -143,6 +139,35 @@ def _edge_spread(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float((lengths.max() - lengths.min()) / lengths.max())
 
 
+def _shells(pts: np.ndarray) -> list[tuple]:
+    """Strip convex hull vertex shells off ``pts`` until the rest degenerates.
+
+    Each shell is ``(members, tri, ends, label)``: its vertices, its
+    triangles and its edge endpoints, all as rows of ``pts``.  Only the
+    last rest, when it is flat or qhull fails on it, has a label.
+    """
+    order = np.arange(len(pts))
+    shells = []
+    while len(order):
+        current = pts[order]
+        rank = _affine_rank(current)
+        label = ("point", "collinear", "coplanar", None)[rank]
+        if label is None:
+            try:
+                hull = ConvexHull(current)
+            except QhullError:
+                # full-rank input should never get here; treat as terminal
+                label = "unresolved"
+        if label:
+            name = f"{label}(v={len(order)})" if rank else label
+            shells.append((order, np.empty((0, 3), np.intp), np.empty((2, 0), np.intp), name))
+            break
+        tri = order[hull.simplices]
+        shells.append((order[hull.vertices], tri, _edges(tri, len(pts)), None))
+        order = np.delete(order, hull.vertices)
+    return shells
+
+
 @dataclass(frozen=True)
 class HullLayer:
     classification: str
@@ -153,56 +178,30 @@ class HullLayer:
     faces: tuple[tuple[int, int, int], ...]
 
 
-def _layer(pts: np.ndarray, label: str, members: np.ndarray, edge_count: int = 0,
-           spread: float = 0.0, faces: tuple[tuple[int, int, int], ...] = ()) -> HullLayer:
-    return HullLayer(label, len(members), edge_count, spread,
-                     tuple(map(tuple, pts[members].tolist())), faces)
-
-
-def classify_hull(points: np.ndarray, hull: ConvexHull) -> tuple[str, int, float]:
-    """Name the shell by vertex count, edge count and edge regularity."""
-    a, b = _edges(hull.simplices, len(points))
-    nv = len(hull.vertices)
-    ne = len(a)
-    spread = _edge_spread(points, a, b)
+def _classify(nv: int, ends: np.ndarray, spread: float) -> str:
+    """Name a hull by vertex count, edge count and edge regularity."""
     equal = spread <= EDGE_EQUAL_REL_TOL
-    degrees = np.bincount(np.concatenate([a, b]), minlength=len(points))
-    if nv == 6 and ne == 12 and equal:
-        return "regular octahedron", ne, spread
-    if nv == 12 and ne == 30 and (degrees[hull.vertices] == 5).all():
-        name = "regular icosahedron" if equal else "irregular icosahedron"
-        return name, ne, spread
-    return f"other(v={nv})", ne, spread
+    if nv == 6 and ends.shape[1] == 12 and equal:
+        return "regular octahedron"
+    if nv == 12 and ends.shape[1] == 30 and (np.unique(ends, return_counts=True)[1] == 5).all():
+        return "regular icosahedron" if equal else "irregular icosahedron"
+    return f"other(v={nv})"
+
+
+def _layer(pts: np.ndarray, members: np.ndarray, tri: np.ndarray, ends: np.ndarray,
+           label: str | None) -> HullLayer:
+    """The layer of one shell of ``pts``; faces number the members in row order."""
+    members = np.sort(members)
+    spread = _edge_spread(pts, *ends)
+    faces = tuple(sorted(map(tuple, np.searchsorted(members, tri).tolist())))
+    return HullLayer(label or _classify(len(members), ends, spread), len(members),
+                     ends.shape[1], spread, tuple(map(tuple, pts[members].tolist())), faces)
 
 
 def peel_hulls(pts: np.ndarray) -> list[HullLayer]:
     """Strip convex hull vertex shells until the cloud degenerates."""
     pts = np.asarray(pts, dtype=float)
-    order = np.arange(len(pts))
-    layers: list[HullLayer] = []
-    while len(order):
-        current = pts[order]
-        rank = _affine_rank(current)
-        if rank < 3:
-            label = ("point", "collinear", "coplanar")[rank]
-            layers.append(_layer(pts, f"{label}(v={len(order)})" if rank else label, order))
-            break
-        try:
-            hull = ConvexHull(current)
-        except QhullError:
-            # full-rank input should never get here; treat as terminal
-            layers.append(_layer(pts, f"unresolved(v={len(order)})", order))
-            break
-        shell_local = np.sort(hull.vertices)
-        label, edge_count, spread = classify_hull(current, hull)
-        local_pos = np.empty(len(order), dtype=np.intp)
-        local_pos[shell_local] = np.arange(len(shell_local))
-        faces = tuple(sorted(map(tuple, local_pos[hull.simplices].tolist())))
-        layers.append(_layer(pts, label, order[shell_local], edge_count, spread, faces))
-        keep = np.ones(len(order), dtype=bool)
-        keep[shell_local] = False
-        order = order[keep]
-    return layers
+    return [_layer(pts, *shell) for shell in _shells(pts)]
 
 
 @dataclass(frozen=True)
@@ -242,56 +241,34 @@ def all_dim_triples() -> list[tuple[int, int, int]]:
     return list(combinations(range(1, 9), 3))
 
 
-def _relabel(layers: Sequence[HullLayer], shells: Sequence[tuple], position: np.ndarray,
-             proj: Projection) -> list[HullLayer]:
-    """Layers peeled from another triple's points, moved onto ``proj``.
-
-    ``shells[k]`` holds layer k's points, faces and edges in the peeled
-    triple, whose point i is point ``position[i]`` of ``proj``.  The
-    edge spread is recomputed on ``proj``'s floats.
-    """
-    pts = np.asarray(proj.float_points, dtype=float)
-    relabelled = []
-    for layer, (rows, tri, a, b) in zip(layers, shells):
-        mapped = position[rows]
-        shell = np.sort(mapped)
-        local = np.searchsorted(shell, mapped)
-        spread = _edge_spread(pts[shell], local[a], local[b])
-        faces = tuple(sorted(map(tuple, local[tri].tolist())))
-        relabelled.append(_layer(pts, layer.classification, shell, layer.edge_count, spread, faces))
-    return relabelled
-
-
 def tally_all(vset: VertexSet) -> list[HullReport]:
     """Hull layer reports for every 3-coordinate choice, sorted by dims.
 
-    The first triple of each class is peeled; the others relabel its layers.
+    The first triple of each class is peeled; the others map its shells.
     """
     # a point's code is its id triple in base len(values), so sorted keys give sorted codes
     weights = len(vset.index.values) ** np.arange(2, -1, -1, dtype=np.int64)
-    # sorted codes of a point set -> (peeled layers, their shells, peeled codes in that set)
-    peeled: dict[bytes, tuple[list[HullLayer], list[tuple], np.ndarray]] = {}
+    # sorted codes of a point set -> (peeled shells, peeled codes in that set)
+    peeled: dict[bytes, tuple[list[tuple], np.ndarray]] = {}
     reports = []
     for dims in all_dim_triples():
         proj = project(vset, dims)
+        pts = np.asarray(proj.float_points, dtype=float)
         keys = np.array(proj.keys, dtype=np.int64)
         codes = keys @ weights
         found = peeled.get(codes.tobytes())
         if found:
-            layers, shells, moved = found
-            layers = _relabel(layers, shells, np.searchsorted(codes, moved), proj)
+            shells, moved = found
+            # peeled point i is point position[i] here
+            position = np.searchsorted(codes, moved)
+            shells = [(position[m], position[t], position[e], label) for m, t, e, label in shells]
         else:
-            layers = peel_hulls(proj.float_points)
-            index_of = {p: i for i, p in enumerate(proj.float_points)}
-            shells = []
-            for layer in layers:
-                tri = np.array(layer.faces, dtype=np.intp).reshape(-1, 3)
-                rows = [index_of[p] for p in layer.points]
-                shells.append((rows, tri, *_edges(tri, len(rows))))
+            shells = _shells(pts)
             for perm in permutations(range(3)):
                 moved = keys[:, perm] @ weights
-                peeled.setdefault(np.sort(moved).tobytes(), (layers, shells, moved))
-        reports.append(HullReport(proj.dims, len(proj.keys), tuple(layers)))
+                peeled.setdefault(np.sort(moved).tobytes(), (shells, moved))
+        layers = tuple(_layer(pts, *shell) for shell in shells)
+        reports.append(HullReport(proj.dims, len(proj.keys), layers))
     return reports
 
 

@@ -160,27 +160,17 @@ def construction_a() -> list[IdentityReport]:
     """
     code = hamming84()
     gram = _construction_a_gram(code)
-    det = ExactMatrix(gram).det()
-    if det.b != 0:
-        raise AssertionError("Gram determinant left the rationals")
-    gram_det = det.a
-
     is_even = all(
         gram[i][i].denominator == 1 and gram[i][i] % 2 == 0 for i in range(8)
     ) and all(g.denominator == 1 for row in gram for g in row)
-
-    pos_def = True
-    for k in range(1, 9):
-        minor = ExactMatrix([row[:k] for row in gram[:k]])
-        if minor.det().sign() <= 0:
-            pos_def = False
-            break
-
+    # leading principal minors; the last is the determinant, and all > 0
+    # is Sylvester's criterion for positive definiteness
+    minors = [ExactMatrix([row[:k] for row in gram[:k]]).det() for k in range(1, 9)]
     count = _count_minimal(set(code.codewords))
     return [
         IdentityReport("lattice_even", is_even),
-        IdentityReport("lattice_unimodular", gram_det == 1, details={"det": str(gram_det)}),
-        IdentityReport("lattice_positive_definite", pos_def),
+        IdentityReport("lattice_unimodular", minors[-1] == 1, details={"det": str(minors[-1])}),
+        IdentityReport("lattice_positive_definite", all(m.sign() > 0 for m in minors)),
         IdentityReport("lattice_minimal_vectors_240", count == 240, details={"count": count}),
     ]
 

@@ -262,31 +262,35 @@ class TestPeelBookkeeping:
         # every hull of every projection, each peeled directly: edges from
         # a set of simplex pairs, lengths from np.linalg.norm on one edge,
         # degrees counted
-        classify = hulls.classify_hull
-        seen = []
+        qhull = hulls.ConvexHull
+        seen, peeled = [], []
 
-        def checked(points, hull):
-            edges = sorted({e for s in hull.simplices.tolist() for e in combinations(sorted(s), 2)})
-            a, b = hulls._edges(hull.simplices, len(points))
-            assert list(zip(a.tolist(), b.tolist())) == edges
-            lengths = [float(np.linalg.norm(points[i] - points[j])) for i, j in edges]
-            spread = (max(lengths) - min(lengths)) / max(lengths)
-            degree = Counter(v for e in edges for v in e)
-            nv, ne, equal = len(hull.vertices), len(edges), spread <= hulls.EDGE_EQUAL_REL_TOL
-            if nv == 6 and ne == 12 and equal:
-                label = "regular octahedron"
-            elif nv == 12 and ne == 30 and all(degree[v] == 5 for v in hull.vertices):
-                label = "regular icosahedron" if equal else "irregular icosahedron"
-            else:
-                label = f"other(v={nv})"
-            got = classify(points, hull)
-            assert got == (label, ne, spread)
-            seen.append(label)
-            return got
+        def recorded(points):
+            peeled.append((points, qhull(points)))
+            return peeled[-1][1]
 
-        monkeypatch.setattr(hulls, "classify_hull", checked)
+        monkeypatch.setattr(hulls, "ConvexHull", recorded)
         for dims in all_dim_triples():
-            analyze(vsets[basis], dims)
+            peeled.clear()
+            layers = analyze(vsets[basis], dims).layers
+            assert len(layers) - len(peeled) in (0, 1), dims
+            for layer, (points, hull) in zip(layers, peeled):
+                edges = sorted({e for s in hull.simplices.tolist() for e in combinations(sorted(s), 2)})
+                a, b = hulls._edges(hull.simplices, len(points))
+                assert list(zip(a.tolist(), b.tolist())) == edges
+                lengths = [float(np.linalg.norm(points[i] - points[j])) for i, j in edges]
+                spread = (max(lengths) - min(lengths)) / max(lengths)
+                degree = Counter(v for e in edges for v in e)
+                nv, ne, equal = len(hull.vertices), len(edges), spread <= hulls.EDGE_EQUAL_REL_TOL
+                if nv == 6 and ne == 12 and equal:
+                    label = "regular octahedron"
+                elif nv == 12 and ne == 30 and all(degree[v] == 5 for v in hull.vertices):
+                    label = "regular icosahedron" if equal else "irregular icosahedron"
+                else:
+                    label = f"other(v={nv})"
+                got = (layer.classification, layer.vertex_count, layer.edge_count, layer.edge_spread)
+                assert got == (label, nv, ne, spread), dims
+                seen.append(label)
         assert len(seen) == {"U": 524, "cmU": 1200}[basis]
         assert len(set(seen)) >= 3
 
@@ -348,10 +352,12 @@ class TestTallyRelabels:
             return counted
 
         monkeypatch.setattr(hulls, "ConvexHull", counting("qhull", hulls.ConvexHull))
-        monkeypatch.setattr(hulls, "peel_hulls", counting("peel", hulls.peel_hulls))
+        monkeypatch.setattr(hulls, "_shells", counting("shells", hulls._shells))
+        monkeypatch.setattr(hulls, "_edges", counting("edges", hulls._edges))
         monkeypatch.setattr(hulls, "project", counting("project", hulls.project))
         tally_all(vsets[basis])
-        assert counts == {"qhull": calls, "peel": clouds, "project": 56}
+        # edges are computed once per qhull hull, never again for a mapped shell
+        assert counts == {"qhull": calls, "shells": clouds, "edges": calls, "project": 56}
 
 
 class TestObjEmission:
