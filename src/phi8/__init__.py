@@ -31,8 +31,7 @@ _EXPORTS = {
     ),
     "matrix": ("CharPoly", "ExactMatrix", "SingularMatrixError"),
     "roots": (
-        "EnumerationRule", "RootRecord", "distinct_roots", "enumerate_roots",
-        "hasse_edges", "summarize",
+        "EnumerationRule", "RootRecord", "enumerate_roots", "hasse_edges", "summarize",
     ),
     "hulls": ("HullLayer", "HullReport", "VertexSet", "analyze", "build_vertices", "tally_all"),
 }

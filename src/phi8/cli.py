@@ -44,8 +44,7 @@ def _out_path(path: str) -> Path:
     p = Path(path)
     if base and not p.is_absolute():
         p = Path(base) / p
-    if p.parent and not p.parent.exists():
-        p.parent.mkdir(parents=True, exist_ok=True)
+    p.parent.mkdir(parents=True, exist_ok=True)
     return p
 
 
@@ -119,17 +118,17 @@ def cmd_roots(args: argparse.Namespace) -> int:
     from . import roots
 
     matrix = resolve_matrix(args.matrix)
-    rule = roots.EnumerationRule(
-        mode=args.mode, max_height=args.max_height, dedup=not args.no_dedup
-    )
+    rule = roots.EnumerationRule(mode=args.mode, max_height=args.max_height)
     records = roots.enumerate_roots(matrix, rule)
     summary = roots.summarize(records)
+    listing = roots.event_listing(records) if args.no_dedup else records
     if args.dot:
         _out_path(args.dot).write_text(roots.emit_hasse_dot(records))
     if args.csv:
-        _out_path(args.csv).write_text(roots.emit_csv(records))
+        _out_path(args.csv).write_text(roots.emit_csv(listing))
     if args.json:
         payload = dict(summary)
+        payload["records"] = len(listing)
         payload["by_height"] = [[h, c] for h, c in sorted(summary["by_height"].items())]
         payload["cumulative"] = [[h, c] for h, c in sorted(summary["cumulative"].items())]
         payload["matrix"] = args.matrix
@@ -259,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots.add_argument("--mode", choices=MODES, default="normalized-pairing")
     p_roots.add_argument("--max-height", type=int, default=10)
     p_roots.add_argument(
-        "--no-dedup", action="store_true", help="keep one record per acceptance event"
+        "--no-dedup", action="store_true", help="list one CSV row per acceptance event"
     )
     p_roots.add_argument("--json", action="store_true")
     p_roots.add_argument("--dot", metavar="PATH", help="write Hasse diagram DOT")

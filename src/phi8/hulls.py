@@ -79,8 +79,7 @@ def build_vertices(basis: str = "U") -> VertexSet:
     if basis not in BASIS_BUILDERS:
         raise ValueError(f"unknown basis {basis!r}; expected one of {sorted(BASIS_BUILDERS)}")
     records = enumerate_roots(build_cmU(), EnumerationRule(mode="pair-coupling", max_height=8))
-    points = dict.fromkeys(signed_images(records, BASIS_BUILDERS[basis]().rows))
-    return VertexSet(len(records), tuple(points))
+    return VertexSet(len(records), tuple(signed_images(records, BASIS_BUILDERS[basis]().rows)))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from itertools import combinations
 from operator import mul
 from typing import Iterable, NamedTuple
 
-from .constants import build_cmE8, build_hadamard, srE8_rows
+from .constants import build_cmE8, build_hadamard, build_srE8, srE8_rows
 from .identities import IdentityReport
 from .matrix import ExactMatrix
 from .roots import EnumerationRule, enumerate_roots, signed_images
@@ -268,7 +268,7 @@ def e8_vertex_coords() -> list[Root]:
 def e8_height_histogram() -> dict[int, int]:
     """Height distribution of E8 positive roots, derived from the root
     coordinates alone; independent oracle for the enumeration rule."""
-    inv = ExactMatrix(srE8_rows()).inverse()
+    inv = build_srE8().inverse()
     inv_rows = []
     for row in inv.rows:
         if not all(e.is_rational() for e in row):

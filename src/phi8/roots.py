@@ -11,6 +11,8 @@ connected in the coupling graph of nonzero off-diagonal entries and it
 is not a multiple of a single generator.  This reproduces the behavior
 of bracket generation where [x_i, x_j] = 0 exactly when the (i, j)
 pairing entry vanishes and no other relation truncates a string.
+
+Every root list holds one record per root; event_listing gives one row per event.
 """
 from __future__ import annotations
 
@@ -22,15 +24,14 @@ from .matrix import ExactMatrix
 
 
 class EnumerationRule:
-    __slots__ = ("mode", "max_height", "dedup")
+    __slots__ = ("mode", "max_height")
 
-    def __init__(self, mode: str = "normalized-pairing", max_height: int = 10,
-                 dedup: bool = True) -> None:
+    def __init__(self, mode: str = "normalized-pairing", max_height: int = 10) -> None:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
         if max_height < 1:
             raise ValueError("max_height must be at least 1")
-        self.mode, self.max_height, self.dedup = mode, max_height, dedup
+        self.mode, self.max_height = mode, max_height
 
 
 class RootRecord(NamedTuple):
@@ -43,11 +44,9 @@ class RootRecord(NamedTuple):
 def enumerate_roots(A: ExactMatrix, rule: EnumerationRule) -> list[RootRecord]:
     """All accepted positive roots with height <= rule.max_height.
 
-    Records are sorted by (height, coeffs).  With dedup=True a root
-    reached along several one-step extensions appears once with all its
-    (parent, simple root) pairs; with dedup=False it appears once per
-    acceptance event, single parent each, matching the raw listing of a
-    generator-by-generator construction.
+    One record per root, sorted by (height, coeffs).  A root reached
+    along several one-step extensions lists every (parent index, simple
+    root) acceptance event, sorted; event_listing gives one row per event.
 
     Each root's weight A*beta is carried from the parent that first
     reaches it: weight(beta + e_j) = weight(beta) + column j of A.
@@ -100,31 +99,30 @@ def enumerate_roots(A: ExactMatrix, rule: EnumerationRule) -> list[RootRecord]:
             break
         layers.append(sorted(next_layer))
 
-    rows: list[tuple[int, tuple[int, ...], list[tuple[tuple[int, ...], int]]]] = []
-    for height, layer in enumerate(layers, 1):
-        for coeffs in layer:
-            evs = events[coeffs]
-            if rule.dedup or not evs:
-                rows.append((height, coeffs, evs))
-            else:
-                rows.extend((height, coeffs, [ev]) for ev in sorted(evs))
-    # parent indices point at the first record holding the parent coeffs
-    first_index: dict[tuple[int, ...], int] = {}
-    for pos, (_, coeffs, _) in enumerate(rows):
-        first_index.setdefault(coeffs, pos)
+    index = {c: pos for pos, c in enumerate(c for layer in layers for c in layer)}
     return [
-        RootRecord(
-            coeffs, height, weight[coeffs], tuple(sorted((first_index[p], j) for p, j in evs))
-        )
-        for height, coeffs, evs in rows
+        RootRecord(c, h, weight[c], tuple(sorted((index[p], j) for p, j in events[c])))
+        for h, layer in enumerate(layers, 1)
+        for c in layer
     ]
+
+
+def event_listing(records: Sequence[RootRecord]) -> list[RootRecord]:
+    """One row per acceptance event, as a generator-by-generator construction
+    lists them: a simple root keeps its one parentless row, and each parent
+    index points at the first row of that parent."""
+    first_row: list[int] = []
+    rows: list[RootRecord] = []
+    for rec in records:
+        first_row.append(len(rows))
+        rows += [rec._replace(parents=((first_row[p], j),)) for p, j in rec.parents] or [rec]
+    return rows
 
 
 def signed_images(records: Sequence[RootRecord], rows: Sequence[Sequence]) -> list[tuple]:
     """For each record, sum_i c_i * rows[i] followed by its negative.
 
-    One pair per record in record order, duplicates kept; callers sort
-    or deduplicate as they need.
+    One pair per record in record order; callers sort as they need.
     """
     images: list[tuple] = []
     for rec in records:
@@ -134,24 +132,15 @@ def signed_images(records: Sequence[RootRecord], rows: Sequence[Sequence]) -> li
     return images
 
 
-def distinct_roots(records: list[RootRecord]) -> list[RootRecord]:
-    """Collapse duplicate coefficient vectors, keeping first occurrence."""
-    first: dict[tuple[int, ...], RootRecord] = {}
-    for r in records:
-        first.setdefault(r.coeffs, r)
-    return list(first.values())
-
-
 def hasse_edges(records: list[RootRecord]) -> list[tuple[int, int, int]]:
     """Cover relations (parent index, child index, simple root index).
 
-    Indices refer to the deduplicated, (height, coeffs)-sorted listing;
-    an edge exists iff both beta and beta + e_j are present.
+    Indices refer to the records; an edge exists iff both beta and
+    beta + e_j are present, whether or not beta + e_j was accepted from beta.
     """
-    roots = distinct_roots(records)
-    index = {r.coeffs: i for i, r in enumerate(roots)}
+    index = {r.coeffs: i for i, r in enumerate(records)}
     edges = []
-    for ci, r in enumerate(roots):
+    for ci, r in enumerate(records):
         for j in range(len(r.coeffs)):
             if r.coeffs[j] == 0:
                 continue
@@ -169,23 +158,22 @@ def emit_hasse_dot(records: list[RootRecord]) -> str:
     Nodes are named r<height>_<k> with k the lexicographic position of
     the root inside its height layer.
     """
-    roots = distinct_roots(records)
     names: dict[tuple[int, ...], str] = {}
     per_height: dict[int, int] = {}
-    for r in roots:
+    for r in records:
         k = per_height.get(r.height, 0)
         per_height[r.height] = k + 1
         names[r.coeffs] = f"r{r.height}_{k}"
     lines = ["digraph hasse {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
     for h in sorted(per_height):
-        members = [r for r in roots if r.height == h]
+        members = [r for r in records if r.height == h]
         decls = " ".join(
             f'{names[r.coeffs]} [label="{" ".join(str(c) for c in r.coeffs)}"];'
             for r in members
         )
         lines.append(f"  {{ rank=same; {decls} }}")
-    for pi, ci, _ in hasse_edges(roots):
-        lines.append(f"  {names[roots[pi].coeffs]} -> {names[roots[ci].coeffs]};")
+    for pi, ci, _ in hasse_edges(records):
+        lines.append(f"  {names[records[pi].coeffs]} -> {names[records[ci].coeffs]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -200,9 +188,8 @@ def summarize(records: list[RootRecord]) -> dict[str, object]:
     summary records whether the total and the cumulative count through
     height 8 reach it.
     """
-    roots = distinct_roots(records)
     by_height: dict[int, int] = {}
-    for r in roots:
+    for r in records:
         by_height[r.height] = by_height.get(r.height, 0) + 1
     cumulative: dict[int, int] = {}
     running = 0
@@ -211,17 +198,17 @@ def summarize(records: list[RootRecord]) -> dict[str, object]:
         cumulative[h] = running
     cum8 = sum(c for h, c in by_height.items() if h <= 8)
     return {
-        "total": len(roots),
+        "total": len(records),
         "records": len(records),
         "max_height": max(by_height) if by_height else 0,
         "by_height": by_height,
         "cumulative": cumulative,
         "cumulative_through_8": cum8,
-        "distinct_coeff_count": len(roots),
-        "distinct_weight_count": len({r.weight for r in roots}),
-        "weights_all_integer": all(w.is_integer() for r in roots for w in r.weight),
+        "distinct_coeff_count": len(records),
+        "distinct_weight_count": len({r.weight for r in records}),
+        "weights_all_integer": all(w.is_integer() for r in records for w in r.weight),
         "e8_reference": E8_POSITIVE_COUNT,
-        "total_matches_e8": len(roots) == E8_POSITIVE_COUNT,
+        "total_matches_e8": len(records) == E8_POSITIVE_COUNT,
         "cumulative_8_matches_e8": cum8 == E8_POSITIVE_COUNT,
     }
 

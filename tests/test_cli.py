@@ -133,6 +133,36 @@ class TestRoots:
         assert code == 0
         assert "120 positive roots" in out
 
+    @pytest.mark.parametrize(
+        "args",
+        (
+            ("--matrix", "{golden}/a3.txt"),
+            ("--matrix", "{golden}/d5_scaled.txt", "--mode", "raw-pairing"),
+            ("--matrix", "U", "--mode", "raw-pairing", "--max-height", "5"),
+        ),
+        ids=("a3", "d5_scaled-raw", "U-raw-h5"),
+    )
+    def test_no_dedup_changes_only_csv_rows_and_records(self, capsys, tmp_path, args):
+        args = [a.format(golden=ROOT / "tests" / "golden") for a in args]
+
+        def run(*extra):
+            tag = "-".join(extra) or "plain"
+            files = [tmp_path / f"{tag}.csv", tmp_path / f"{tag}.dot"]
+            code, out = run_cli(capsys, "roots", *args, *extra,
+                                "--json", "--csv", str(files[0]), "--dot", str(files[1]))
+            assert code == 0
+            text_code, text = run_cli(capsys, "roots", *args, *extra)
+            assert text_code == 0
+            return out, json.loads(out)["records"], text, *(f.read_text() for f in files)
+
+        out, records, text, csv_text, dot = run()
+        raw_out, raw_records, raw_text, raw_csv, raw_dot = run("--no-dedup")
+        assert raw_text == text
+        assert raw_dot == dot
+        assert records == len(csv_text.splitlines()) - 1 == json.loads(out)["total"]
+        assert raw_records == len(raw_csv.splitlines()) - 1 > records
+        assert raw_out == out.replace(f'"records": {records},', f'"records": {raw_records},')
+
 
 class TestLattice:
     def test_all_checks_pass(self, capsys):

@@ -29,6 +29,13 @@ CASES = {
          "--csv", "{out}/roots_e8_h30.csv", "--dot", "{out}/roots_e8_h30.dot"),
         ("roots_e8_h30.csv", "roots_e8_h30.dot"),
     ),
+    # --no-dedup changes only the CSV rows and the JSON "records": the
+    # DOT is compared with the one written without the flag
+    "roots_e8_h30_no_dedup": (
+        ("roots", "--max-height", "30", "--no-dedup", "--json",
+         "--csv", "{out}/roots_e8_h30_no_dedup.csv", "--dot", "{out}/roots_e8_h30.dot"),
+        ("roots_e8_h30_no_dedup.csv", "roots_e8_h30.dot"),
+    ),
     "roots_cmU_pair_h8": (
         ("roots", "--matrix", "cmU", "--mode", "pair-coupling", "--max-height", "8"),
         (),

@@ -12,10 +12,10 @@ from phi8.roots import (
     E8_POSITIVE_COUNT,
     MODES,
     EnumerationRule,
-    distinct_roots,
     emit_csv,
     emit_hasse_dot,
     enumerate_roots,
+    event_listing,
     hasse_edges,
     signed_images,
     summarize,
@@ -148,22 +148,30 @@ class TestModesAndRecords:
 
     def test_no_dedup_counts_events(self):
         dedup = enumerate_roots(A3, EnumerationRule(max_height=10))
-        events = enumerate_roots(A3, EnumerationRule(max_height=10, dedup=False))
-        # same distinct roots, at least as many records
-        assert [r.coeffs for r in distinct_roots(events)] == [r.coeffs for r in dedup]
+        events = event_listing(dedup)
+        # same distinct roots in the same order, at least as many rows
+        assert list(dict.fromkeys(r.coeffs for r in events)) == [r.coeffs for r in dedup]
         assert len(events) >= len(dedup)
         # the top root (1,1,1) is reachable two ways
         top = [r for r in events if r.coeffs == (1, 1, 1)]
         assert len(top) == 2
 
     def test_no_dedup_parent_indices_valid(self):
-        events = enumerate_roots(A3, EnumerationRule(max_height=10, dedup=False))
+        events = event_listing(enumerate_roots(A3, EnumerationRule(max_height=10)))
         for rec in events:
             for p, j in rec.parents:
                 parent = events[p]
                 grown = list(parent.coeffs)
                 grown[j] += 1
                 assert tuple(grown) == rec.coeffs
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_record_per_root(self, mode):
+        recs = enumerate_roots(D5_SCALED, EnumerationRule(mode=mode, max_height=30))
+        keys = [(r.height, r.coeffs) for r in recs]
+        assert keys == sorted(set(keys))
+        # a root reached from several parents keeps every event on one record
+        assert any(len(r.parents) > 1 for r in recs)
 
     def test_height_cap_respected(self):
         recs = enumerate_roots(build_cmE8(), EnumerationRule(max_height=5))
@@ -204,12 +212,12 @@ class TestEmission:
 
 
 class TestCarriedWeight:
-    @pytest.mark.parametrize("dedup", (True, False), ids=("dedup", "events"))
+    @pytest.mark.parametrize("listing", (list, event_listing), ids=("dedup", "events"))
     @pytest.mark.parametrize("mode", MODES)
-    def test_weight_is_matrix_times_coeffs(self, mode, dedup):
+    def test_weight_is_matrix_times_coeffs(self, mode, listing):
         assert D5_SCALED != D5_SCALED.transpose()
-        recs = enumerate_roots(D5_SCALED, EnumerationRule(mode=mode, max_height=8, dedup=dedup))
-        assert len(distinct_roots(recs)) > 5
+        recs = listing(enumerate_roots(D5_SCALED, EnumerationRule(mode=mode, max_height=8)))
+        assert len({r.coeffs for r in recs}) > 5
         rows = D5_SCALED.rows
         for r in recs:
             expected = tuple(
@@ -223,9 +231,3 @@ class TestSignedImages:
         recs = enumerate_roots(A2, EnumerationRule(max_height=10))
         rows = ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(5)))
         assert signed_images(recs, rows) == [(3, 5), (-3, -5), (1, 2), (-1, -2), (4, 7), (-4, -7)]
-
-    def test_duplicate_records_keep_duplicate_images(self):
-        recs = enumerate_roots(A3, EnumerationRule(max_height=10, dedup=False))
-        images = signed_images(recs, build_cmU().rows[:3])
-        assert len(images) == 2 * len(recs) == 18
-        assert len(set(images)) == 12
