@@ -26,6 +26,7 @@ from pathlib import Path
 from .constants import (
     BASIS_BUILDERS,
     LATTICE_CHECK_NAMES,
+    MAX_ROOTS,
     MODES,
     NAMED_MATRICES,
     VERIFIER_GROUP_NAMES,
@@ -118,7 +119,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     from . import roots
 
     matrix = resolve_matrix(args.matrix)
-    rule = roots.EnumerationRule(mode=args.mode, max_height=args.max_height)
+    rule = roots.EnumerationRule(args.mode, args.max_height, args.max_roots)
     records = roots.enumerate_roots(matrix, rule)
     summary = roots.summarize(records)
     listing = roots.event_listing(records) if args.no_dedup else records
@@ -257,6 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_roots.add_argument("--mode", choices=MODES, default="normalized-pairing")
     p_roots.add_argument("--max-height", type=int, default=10)
+    p_roots.add_argument("--max-roots", type=int, default=MAX_ROOTS,
+                         help="exit 2 if more roots than this are found (default %(default)s)")
     p_roots.add_argument(
         "--no-dedup", action="store_true", help="list one CSV row per acceptance event"
     )

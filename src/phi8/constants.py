@@ -203,6 +203,8 @@ VERIFIER_GROUP_NAMES = (
 )
 LATTICE_CHECK_NAMES = ("roots", "hamming", "construction-a", "hadamard-map", "vertex-coords")
 MODES = ("normalized-pairing", "raw-pairing", "pair-coupling")
+# the default `roots --max-roots` bound on one enumeration
+MAX_ROOTS = 10_000
 
 
 def resolve_matrix(name_or_path: str) -> ExactMatrix:

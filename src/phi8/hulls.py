@@ -7,21 +7,24 @@ peeling splits the cloud into nested polyhedral shells.
 
 Each vertex set indexes its exact coordinate values once, in one table
 for all eight coordinates; a projection sorts its distinct value-id
-triples and reads its floats from that table.  Three decisions are made
-on floats: the affine rank (an SVD against ``AFFINE_RANK_REL_TOL``),
-edge equality (the relative edge spread against ``EDGE_EQUAL_REL_TOL``)
-and qhull's own merging of nearly coplanar facets.
+triples as integer codes and reads its floats from that table.  Three
+decisions are made on floats: the affine rank (an SVD against
+``AFFINE_RANK_REL_TOL``), edge equality (the relative edge spread
+against ``EDGE_EQUAL_REL_TOL``) and qhull's own merging of nearly
+coplanar facets.
 
 ``_shells`` is the one place where qhull output is read: each shell is
 its member rows, triangles and edge endpoints, as index arrays on the
 projected points.  ``_layer`` is the one builder of a ``HullLayer`` from
-a shell.  ``analyze`` (``project --dims``) peels directly.  ``tally_all``
-(``project --all``) peels one triple per class, triples whose point sets
-are equal up to the order of the columns, and maps those shells onto
-the others.  A column order is an isometry, and every hull here is
-simplicial with no two coplanar facets, so layers and edges carry over,
-and each spread, computed on the triple's own floats, has the bits of a
-direct peel; only the vertex order within a triangle may differ.
+a shell; a layer keeps those index arrays and builds its points and
+faces only when they are read.  ``analyze`` (``project --dims``) peels
+directly.  ``tally_all`` (``project --all``) peels one triple per class,
+triples whose point sets are equal up to the order of the columns, and
+maps those shells onto the others.  A column order is an isometry, and
+every hull here is simplicial with no two coplanar facets, so layers
+and edges carry over, and each spread, computed on the triple's own
+floats, has the bits of a direct peel; only the vertex order within a
+triangle may differ.
 """
 from __future__ import annotations
 
@@ -48,16 +51,16 @@ class CoordinateIndex:
     """Every exact coordinate value of a vertex set, computed once.
 
     ``values`` holds the distinct values of all eight coordinates in
-    ascending order and ``floats`` their ``to_float()``; ``ranks[k][i]``
+    ascending order and ``floats`` their ``to_float()``; ``ranks[k, i]``
     is the position of point i's coordinate k in ``values``.  Ranks
-    preserve order, so sorting rank tuples sorts the exact tuples they
+    preserve order, so sorting rank triples sorts the exact triples they
     stand for, and equal id triples are equal points whichever
     coordinates they came from.
     """
 
     values: tuple[GoldenExt, ...]
-    floats: tuple[float, ...]
-    ranks: tuple[tuple[int, ...], ...]
+    floats: np.ndarray
+    ranks: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,8 @@ class VertexSet:
         columns = list(zip(*self.points))
         values = tuple(sorted(set().union(*columns)))
         rank = {v: r for r, v in enumerate(values)}.__getitem__
-        return CoordinateIndex(values, tuple(v.to_float() for v in values),
-                               tuple(tuple(map(rank, col)) for col in columns))
+        return CoordinateIndex(values, np.array([v.to_float() for v in values]),
+                               np.array([list(map(rank, col)) for col in columns], dtype=np.intp))
 
 
 def build_vertices(basis: str = "U") -> VertexSet:
@@ -82,13 +85,14 @@ def build_vertices(basis: str = "U") -> VertexSet:
     return VertexSet(len(records), tuple(signed_images(records, BASIS_BUILDERS[basis]().rows)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Projection:
-    """The distinct projected points as ``CoordinateIndex`` id triples, in exact order."""
+    """The distinct projected points: ``keys`` holds their ``CoordinateIndex``
+    id triples as rows, in exact order, and ``float_points`` their floats."""
 
     dims: tuple[int, int, int]
-    keys: tuple[tuple[int, int, int], ...]
-    float_points: tuple[tuple[float, float, float], ...]
+    keys: np.ndarray
+    float_points: np.ndarray
 
 
 def project(vset: VertexSet, dims: Sequence[int]) -> Projection:
@@ -103,9 +107,11 @@ def project(vset: VertexSet, dims: Sequence[int]) -> Projection:
     if any(not (1 <= d <= 8) for d in dims_t):
         raise ValueError("coordinates are numbered 1 through 8")
     index = vset.index
-    keys = tuple(sorted(set(zip(*(index.ranks[d - 1] for d in dims_t)))))
-    floats = index.floats.__getitem__
-    return Projection(dims_t, keys, tuple(tuple(map(floats, key)) for key in keys))
+    # a point's code is its id triple in base len(values): sorted codes are sorted triples
+    shape = (len(index.values),) * 3
+    codes = np.unique(np.ravel_multi_index(index.ranks[[d - 1 for d in dims_t]], shape))
+    keys = np.stack(np.unravel_index(codes, shape), axis=1)
+    return Projection(dims_t, keys, index.floats[keys])
 
 
 def _affine_rank(points: np.ndarray) -> int:
@@ -167,14 +173,26 @@ def _shells(pts: np.ndarray) -> list[tuple]:
     return shells
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HullLayer:
+    """One shell of a cloud as index arrays on its rows; ``points`` (the members
+    in row order) and ``faces`` (triangles that number them) are built when read."""
+
     classification: str
     vertex_count: int
     edge_count: int
     edge_spread: float
-    points: tuple[tuple[float, float, float], ...]
-    faces: tuple[tuple[int, int, int], ...]
+    cloud: np.ndarray
+    members: np.ndarray  # ascending rows of ``cloud``
+    triangles: np.ndarray  # rows of ``cloud``, one triangle per row
+
+    @property
+    def points(self) -> tuple[tuple[float, float, float], ...]:
+        return tuple(map(tuple, self.cloud[self.members].tolist()))
+
+    @property
+    def faces(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(sorted(map(tuple, np.searchsorted(self.members, self.triangles).tolist())))
 
 
 def _classify(nv: int, ends: np.ndarray, spread: float) -> str:
@@ -189,12 +207,10 @@ def _classify(nv: int, ends: np.ndarray, spread: float) -> str:
 
 def _layer(pts: np.ndarray, members: np.ndarray, tri: np.ndarray, ends: np.ndarray,
            label: str | None) -> HullLayer:
-    """The layer of one shell of ``pts``; faces number the members in row order."""
-    members = np.sort(members)
+    """The layer of one shell of ``pts``."""
     spread = _edge_spread(pts, *ends)
-    faces = tuple(sorted(map(tuple, np.searchsorted(members, tri).tolist())))
     return HullLayer(label or _classify(len(members), ends, spread), len(members),
-                     ends.shape[1], spread, tuple(map(tuple, pts[members].tolist())), faces)
+                     ends.shape[1], spread, pts, np.sort(members), tri)
 
 
 def peel_hulls(pts: np.ndarray) -> list[HullLayer]:
@@ -232,8 +248,7 @@ class HullReport:
 
 def analyze(vset: VertexSet, dims: Sequence[int]) -> HullReport:
     proj = project(vset, dims)
-    layers = peel_hulls(proj.float_points)
-    return HullReport(proj.dims, len(proj.keys), tuple(layers))
+    return HullReport(proj.dims, len(proj.keys), tuple(peel_hulls(proj.float_points)))
 
 
 def all_dim_triples() -> list[tuple[int, int, int]]:
@@ -245,16 +260,14 @@ def tally_all(vset: VertexSet) -> list[HullReport]:
 
     The first triple of each class is peeled; the others map its shells.
     """
-    # a point's code is its id triple in base len(values), so sorted keys give sorted codes
-    weights = len(vset.index.values) ** np.arange(2, -1, -1, dtype=np.int64)
+    shape = (len(vset.index.values),) * 3  # the codes of ``project``
     # sorted codes of a point set -> (peeled shells, peeled codes in that set)
     peeled: dict[bytes, tuple[list[tuple], np.ndarray]] = {}
     reports = []
     for dims in all_dim_triples():
         proj = project(vset, dims)
-        pts = np.asarray(proj.float_points, dtype=float)
-        keys = np.array(proj.keys, dtype=np.int64)
-        codes = keys @ weights
+        pts, ids = proj.float_points, proj.keys.T  # ids: one row per coordinate
+        codes = np.ravel_multi_index(ids, shape)
         found = peeled.get(codes.tobytes())
         if found:
             shells, moved = found
@@ -264,7 +277,7 @@ def tally_all(vset: VertexSet) -> list[HullReport]:
         else:
             shells = _shells(pts)
             for perm in permutations(range(3)):
-                moved = keys[:, perm] @ weights
+                moved = np.ravel_multi_index(ids[list(perm)], shape)
                 peeled.setdefault(np.sort(moved).tobytes(), (shells, moved))
         layers = tuple(_layer(pts, *shell) for shell in shells)
         reports.append(HullReport(proj.dims, len(proj.keys), layers))

@@ -1,9 +1,11 @@
 """E8 root system, the (8,4) extended Hamming code, and their gluing.
 
-Everything here is exact: roots are Fraction tuples, codewords are bit
-tuples, and the Construction A lattice carries the 1/sqrt2 scaling as a
-squared factor so the Gram matrix stays rational.  The contact count
-and the inner-product histogram share one pair Gram per root list.
+Everything here is exact: roots are doubled integer vectors inside, one
+cached sorted list, and Fraction tuples only at the API; codewords are
+bit tuples; and the Construction A lattice carries the 1/sqrt2 scaling
+as a squared factor so the Gram matrix stays rational.  The contact
+count and the inner-product histogram share one integer pair Gram per
+vector list.
 Each ``CHECK_GROUPS`` entry is a ``phi8 lattice --check`` group: a
 function that returns its ``IdentityReport`` values directly.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 from operator import mul
 from typing import Iterable, NamedTuple
@@ -22,75 +24,81 @@ from .matrix import ExactMatrix
 from .roots import EnumerationRule, enumerate_roots, signed_images
 
 Root = tuple[Fraction, ...]
+Doubled = tuple[int, ...]
+
+
+@cache
+def _doubled_roots() -> tuple[Doubled, ...]:
+    """All 240 E8 roots in the even coordinate system, doubled and sorted.
+
+    112 integer roots (+-1, +-1 in two slots, doubled to +-2) and 128
+    half-integer roots (all +-1/2, even number of minus signs, doubled to +-1).
+    """
+    roots = [tuple(si * (k == i) + sj * (k == j) for k in range(8))
+             for i, j in combinations(range(8), 2) for si in (2, -2) for sj in (2, -2)]
+    roots += [tuple(-1 if mask & (1 << k) else 1 for k in range(8))
+              for mask in range(256) if bin(mask).count("1") % 2 == 0]
+    return tuple(sorted(roots))
+
+
+def _halved(vectors: Iterable[Doubled]) -> list[Root]:
+    return [tuple(Fraction(x, 2) for x in v) for v in vectors]
 
 
 def gen_e8_roots() -> list[Root]:
-    """All 240 E8 roots in the even coordinate system, sorted.
-
-    112 integer roots (+-1, +-1 in two slots) and 128 half-integer
-    roots (all +-1/2, even number of minus signs).
-    """
-    roots: list[Root] = []
-    for i, j in combinations(range(8), 2):
-        for si in (1, -1):
-            for sj in (1, -1):
-                v = [Fraction(0)] * 8
-                v[i] = Fraction(si)
-                v[j] = Fraction(sj)
-                roots.append(tuple(v))
-    half = Fraction(1, 2)
-    for mask in range(256):
-        if bin(mask).count("1") % 2 == 0:
-            roots.append(
-                tuple(-half if mask & (1 << k) else half for k in range(8))
-            )
-    roots.sort()
-    return roots
+    """All 240 E8 roots in the even coordinate system, sorted."""
+    return _halved(_doubled_roots())
 
 
 def norm_sq(v: Root) -> Fraction:
     return sum(x * x for x in v)
 
 
-def _scaled_int_vectors(roots: tuple[Root, ...]) -> list[tuple[int, ...]]:
+def _scaled_int_vectors(vectors: Iterable[Root]) -> tuple[Doubled, ...]:
     """Doubled coordinates; doubling clears all denominators in the even
     coordinate system, and any other coordinate raises ValueError."""
-    scaled = [tuple(2 * x for x in v) for v in roots]
+    scaled = [tuple(2 * x for x in v) for v in vectors]
     if any(x.denominator != 1 for v in scaled for x in v):
         raise ValueError("coordinates must be integers or half-integers")
-    return [tuple(x.numerator for x in v) for v in scaled]
+    return tuple(tuple(x.numerator for x in v) for v in scaled)
 
 
 @lru_cache(maxsize=1)
-def _pair_gram(roots: tuple[Root, ...]) -> Counter[tuple[int, int]]:
+def _pair_gram(vectors: tuple[Doubled, ...]) -> Counter[tuple[int, int]]:
     """Unordered pairs of doubled vectors a, b, counted by (|a|^2 + |b|^2, a.b).
 
     One integer loop over pairs that serves both the contact count and the
     inner-product histogram; each norm is computed once per vector.  The
-    last Gram is kept, so equal root lists share one build; callers must
+    last Gram is kept, so equal vector lists share one build; callers must
     not mutate the returned Counter.
     """
-    scaled = _scaled_int_vectors(roots)
-    normed = [(v, sum(map(mul, v, v))) for v in scaled]
+    normed = [(v, sum(map(mul, v, v))) for v in vectors]
     return Counter(
         (na + nb, sum(map(mul, a, b))) for (a, na), (b, nb) in combinations(normed, 2)
     )
 
 
+def _contacts(vectors: tuple[Doubled, ...]) -> int:
+    """Unordered pairs at |a - b|^2 = 8, squared distance 2 before doubling."""
+    return sum(c for (norms, dot), c in _pair_gram(vectors).items() if norms - 2 * dot == 8)
+
+
+def _dot_counts(vectors: tuple[Doubled, ...]) -> Counter[int]:
+    """Unordered pairs counted by a.b, which is 4<a, b> before doubling."""
+    counts: Counter[int] = Counter()
+    for (_, dot), c in _pair_gram(vectors).items():
+        counts[dot] += c
+    return counts
+
+
 def count_contact_pairs(roots: list[Root]) -> int:
     """Unordered root pairs at squared distance 2 (inner product 1)."""
-    # squared distance 2 in original units = 8 after doubling
-    gram = _pair_gram(tuple(roots))
-    return sum(c for (norms, dot), c in gram.items() if norms - 2 * dot == 8)
+    return _contacts(_scaled_int_vectors(roots))
 
 
 def inner_product_histogram(roots: list[Root]) -> dict[Fraction, int]:
     """Distribution of <a, b> over unordered distinct pairs."""
-    # count 4<a, b> as integers, then build one Fraction per distinct value
-    counts: Counter[int] = Counter()
-    for (_, dot), c in _pair_gram(tuple(roots)).items():
-        counts[dot] += c
-    return {Fraction(k, 4): c for k, c in counts.items()}
+    return {Fraction(k, 4): c for k, c in _dot_counts(_scaled_int_vectors(roots)).items()}
 
 
 def weight_enumerator(words: Iterable[tuple[int, ...]]) -> dict[int, int]:
@@ -259,10 +267,16 @@ def _find_column_permutation(
     return extend([], set())
 
 
+def _doubled_vertex_coords() -> tuple[Doubled, ...]:
+    """Signed images of the enumerated positive roots through doubled srE8 rows, sorted."""
+    rule = EnumerationRule(mode="normalized-pairing", max_height=30)
+    rows = _scaled_int_vectors(srE8_rows())
+    return tuple(sorted(signed_images(enumerate_roots(build_cmE8(), rule), rows)))
+
+
 def e8_vertex_coords() -> list[Root]:
     """Signed images of the enumerated positive roots through srE8, sorted."""
-    rule = EnumerationRule(mode="normalized-pairing", max_height=30)
-    return sorted(signed_images(enumerate_roots(build_cmE8(), rule), srE8_rows()))
+    return _halved(_doubled_vertex_coords())
 
 
 def e8_height_histogram() -> dict[int, int]:
@@ -289,23 +303,22 @@ def e8_height_histogram() -> dict[int, int]:
 
 def check_vertex_coords() -> list[IdentityReport]:
     """The signed srE8 images are the 240 E8 roots, pair for pair."""
-    coords = e8_vertex_coords()
-    roots = gen_e8_roots()
+    coords = _doubled_vertex_coords()
+    roots = _doubled_roots()
     return [
         IdentityReport("vertex_count_240", len(coords) == 240, details={"count": len(coords)}),
-        IdentityReport("vertex_norms_two", all(norm_sq(v) == 2 for v in coords)),
+        IdentityReport("vertex_norms_two", all(sum(map(mul, v, v)) == 8 for v in coords)),
         IdentityReport("vertex_set_matches_roots", coords == roots),
-        IdentityReport("vertex_inner_histogram_matches",
-                       inner_product_histogram(coords) == inner_product_histogram(roots)),
+        IdentityReport("vertex_inner_histogram_matches", _dot_counts(coords) == _dot_counts(roots)),
     ]
 
 
 def _check_roots() -> list[IdentityReport]:
-    roots = gen_e8_roots()
-    pairs = count_contact_pairs(roots)
+    roots = _doubled_roots()
+    pairs = _contacts(roots)
     return [
         IdentityReport("root_count_240", len(roots) == 240, details={"count": len(roots)}),
-        IdentityReport("root_norms_two", all(norm_sq(v) == 2 for v in roots)),
+        IdentityReport("root_norms_two", all(sum(map(mul, v, v)) == 8 for v in roots)),
         IdentityReport("contact_pairs_6720", pairs == 6720, details={"count": pairs}),
     ]
 

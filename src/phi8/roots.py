@@ -18,20 +18,23 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .constants import MODES
+from .constants import MAX_ROOTS, MODES
 from .field import GoldenExt
 from .matrix import ExactMatrix
 
 
 class EnumerationRule:
-    __slots__ = ("mode", "max_height")
+    __slots__ = ("mode", "max_height", "max_roots")
 
-    def __init__(self, mode: str = "normalized-pairing", max_height: int = 10) -> None:
+    def __init__(self, mode: str = "normalized-pairing", max_height: int = 10,
+                 max_roots: int = MAX_ROOTS) -> None:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
         if max_height < 1:
             raise ValueError("max_height must be at least 1")
-        self.mode, self.max_height = mode, max_height
+        if max_roots < 1:
+            raise ValueError("max_roots must be at least 1")
+        self.mode, self.max_height, self.max_roots = mode, max_height, max_roots
 
 
 class RootRecord(NamedTuple):
@@ -44,6 +47,7 @@ class RootRecord(NamedTuple):
 def enumerate_roots(A: ExactMatrix, rule: EnumerationRule) -> list[RootRecord]:
     """All accepted positive roots with height <= rule.max_height.
 
+    More than rule.max_roots roots raise ValueError naming the height.
     One record per root, sorted by (height, coeffs).  A root reached
     along several one-step extensions lists every (parent index, simple
     root) acceptance event, sorted; event_listing gives one row per event.
@@ -91,6 +95,9 @@ def enumerate_roots(A: ExactMatrix, rule: EnumerationRule) -> list[RootRecord]:
                     continue
                 cand = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
                 if cand not in events:
+                    if len(events) == rule.max_roots:
+                        raise ValueError(f"enumeration passed max_roots={rule.max_roots} "
+                                         f"at height {len(layers) + 1}")
                     events[cand] = []
                     weight[cand] = tuple(w + a for w, a in zip(w_beta, columns[j]))
                     next_layer.append(cand)

@@ -133,6 +133,18 @@ class TestRoots:
         assert code == 0
         assert "120 positive roots" in out
 
+    def test_max_roots_stops_unbounded_growth(self):
+        # pair-coupling on cmE8 doubles its roots per height; without the
+        # cap, height 30 runs until the timeout kills it
+        proc = subprocess.run(
+            [sys.executable, "-m", "phi8.cli", "roots", "--mode", "pair-coupling",
+             "--max-height", "30", "--max-roots", "1000"],
+            cwd=ROOT, env=child_env(), capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: enumeration passed max_roots=1000 at height 8\n"
+
     @pytest.mark.parametrize(
         "args",
         (

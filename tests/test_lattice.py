@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ROOT, child_env
+from phi8 import lattice
 from phi8.constants import build_hadamard
 from phi8.lattice import (
     CHECK_GROUPS,
@@ -212,6 +213,26 @@ class TestVertexCoords:
         assert e8_vertex_coords() == e8_vertex_coords()
 
 
+class TestDoubledIntegers:
+    """The checks run on doubled integer vectors; the Fraction API is a view of them."""
+
+    def test_doubling_the_api_lists_gives_the_integer_lists(self):
+        doubled = lambda vectors: [tuple(2 * x for x in v) for v in vectors]
+        assert doubled(gen_e8_roots()) == list(lattice._doubled_roots())
+        assert doubled(e8_vertex_coords()) == list(lattice._doubled_vertex_coords())
+
+    def test_checks_skip_the_fraction_api(self, monkeypatch):
+        groups = ("roots", "vertex-coords")
+        expected = [[r.to_dict() for r in CHECK_GROUPS[g]()] for g in groups]
+
+        def forbidden(*args):
+            raise AssertionError("Fraction API called by a check")
+
+        for name in ("gen_e8_roots", "norm_sq", "e8_vertex_coords"):
+            monkeypatch.setattr(lattice, name, forbidden)
+        assert [[r.to_dict() for r in CHECK_GROUPS[g]()] for g in groups] == expected
+
+
 class TestHeightHistogram:
     def test_total_and_peak(self):
         hist = e8_height_histogram()
@@ -226,22 +247,15 @@ class TestHeightHistogram:
         assert counts == sorted(counts, reverse=True)
 
 
-# counts the pair Gram builds of one `phi8 lattice`; each build doubles
-# its vectors once through _scaled_int_vectors
+# counts the integer pair Gram builds of one `phi8 lattice`: each build is
+# one miss of the kernel's cache
 COUNT_GRAMS = """
 import contextlib, io, json
 from phi8 import cli, lattice
 
-builds = 0
-scaled = lattice._scaled_int_vectors
-def counted(roots):
-    global builds
-    builds += 1
-    return scaled(roots)
-lattice._scaled_int_vectors = counted
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["lattice"])
-print(json.dumps({"code": code, "builds": builds}))
+print(json.dumps({"code": code, "builds": lattice._pair_gram.cache_info().misses}))
 """
 
 

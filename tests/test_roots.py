@@ -145,6 +145,14 @@ class TestModesAndRecords:
             EnumerationRule(mode="nonsense")
         with pytest.raises(ValueError):
             EnumerationRule(max_height=0)
+        with pytest.raises(ValueError):
+            EnumerationRule(max_roots=0)
+
+    def test_max_roots_bounds_the_enumeration(self):
+        # E8 has exactly 120 positive roots: the cap may equal the count
+        assert len(enumerate_roots(build_cmE8(), EnumerationRule(max_height=30, max_roots=120))) == 120
+        with pytest.raises(ValueError, match="max_roots=119 at height 29"):
+            enumerate_roots(build_cmE8(), EnumerationRule(max_height=30, max_roots=119))
 
     def test_no_dedup_counts_events(self):
         dedup = enumerate_roots(A3, EnumerationRule(max_height=10))
@@ -167,7 +175,9 @@ class TestModesAndRecords:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_record_per_root(self, mode):
-        recs = enumerate_roots(D5_SCALED, EnumerationRule(mode=mode, max_height=30))
+        # pair-coupling reaches 242,706 roots by height 30, above the default cap
+        rule = EnumerationRule(mode=mode, max_height=30, max_roots=250_000)
+        recs = enumerate_roots(D5_SCALED, rule)
         keys = [(r.height, r.coeffs) for r in recs]
         assert keys == sorted(set(keys))
         # a root reached from several parents keeps every event on one record
