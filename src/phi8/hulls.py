@@ -7,11 +7,12 @@ peeling splits the cloud into nested polyhedral shells.
 
 Each vertex set indexes its exact coordinate values once, in one table
 for all eight coordinates; a projection sorts its distinct value-id
-triples as integer codes and reads its floats from that table.  Three
-decisions are made on floats: the affine rank (an SVD against
-``AFFINE_RANK_REL_TOL``), edge equality (the relative edge spread
-against ``EDGE_EQUAL_REL_TOL``) and qhull's own merging of nearly
-coplanar facets.
+triples as integer codes and reads its floats and exact Z[phi] pairs
+from that table.  The affine rank that ends a peel is exact: zero tests
+on those pairs, or on raw floats' binary values in ``peel_hulls``, where
+a nearly flat rest goes to qhull and may end as ``unresolved(v=N)``.
+Floats decide two things: edge equality (the relative edge spread
+against ``EDGE_EQUAL_REL_TOL``) and qhull's merging of coplanar facets.
 
 ``_shells`` is the one place where qhull output is read: each shell is
 its member rows, triangles and edge endpoints, as index arrays on the
@@ -31,19 +32,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
+from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .constants import BASIS_BUILDERS, build_cmU
-from .field import GoldenExt
+from .field import ONE, SQRT_PHI, GoldenExt
 from .roots import EnumerationRule, enumerate_roots, signed_images
 
 ExactPoint = tuple[GoldenExt, ...]
 
-AFFINE_RANK_REL_TOL = 1e-9
 EDGE_EQUAL_REL_TOL = 1e-6
+PAIR_ENTRY_LIMIT = 2 ** 18  # 3x3 determinants of differences, < 432 * limit**3, fit int64
 
 
 @dataclass(frozen=True)
@@ -55,12 +57,15 @@ class CoordinateIndex:
     is the position of point i's coordinate k in ``values``.  Ranks
     preserve order, so sorting rank triples sorts the exact triples they
     stand for, and equal id triples are equal points whichever
-    coordinates they came from.
+    coordinates they came from.  ``pairs[r]`` is (a, b) in int64 with
+    ``values[r] * scale == a + b*phi``, one ``scale`` > 0 for all values.
     """
 
     values: tuple[GoldenExt, ...]
     floats: np.ndarray
     ranks: np.ndarray
+    pairs: np.ndarray
+    scale: GoldenExt
 
 
 @dataclass(frozen=True)
@@ -73,8 +78,15 @@ class VertexSet:
         columns = list(zip(*self.points))
         values = tuple(sorted(set().union(*columns)))
         rank = {v: r for r, v in enumerate(values)}.__getitem__
+        scale = ONE if all(v.is_scalar() for v in values) else SQRT_PHI
+        # .a and .b raise ValueError on a value with both a Q(phi) and a sqrt(phi) part
+        scale *= lcm(*(x.denominator for v in values for x in ((v * scale).a, (v * scale).b)))
+        pairs = np.array([(int((v * scale).a), int((v * scale).b)) for v in values], dtype=object)
+        if (abs(pairs) >= PAIR_ENTRY_LIMIT).any():
+            raise ValueError(f"a scaled coordinate reaches {PAIR_ENTRY_LIMIT}; int64 ranks could overflow")
         return CoordinateIndex(values, np.array([v.to_float() for v in values]),
-                               np.array([list(map(rank, col)) for col in columns], dtype=np.intp))
+                               np.array([list(map(rank, col)) for col in columns], dtype=np.intp),
+                               pairs.reshape(-1, 2).astype(np.int64), scale)
 
 
 def build_vertices(basis: str = "U") -> VertexSet:
@@ -114,14 +126,24 @@ def project(vset: VertexSet, dims: Sequence[int]) -> Projection:
     return Projection(dims_t, keys, index.floats[keys])
 
 
-def _affine_rank(points: np.ndarray) -> int:
-    if len(points) <= 1:
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Z[phi] products on the last axis: (a, b)(c, d) = (ac + bd, ad + bc + bd)."""
+    a, b, c, d = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+    return np.stack([a * c + b * d, a * d + b * c + b * d], axis=-1)
+
+
+def _affine_rank(exact: np.ndarray) -> int:
+    """Exact affine rank of points given as rows of three Z[phi] pairs."""
+    d = exact[1:] - exact[0]
+    rows = (d != 0).any(axis=(1, 2))
+    if not rows.any():
         return 0
-    centered = points - points.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > AFFINE_RANK_REL_TOL * sv[0]))
+    r = d[rows.argmax()]
+    cross = _mul(d[:, [1, 2, 0]], r[[2, 0, 1]]) - _mul(d[:, [2, 0, 1]], r[[1, 2, 0]])
+    rows = (cross != 0).any(axis=(1, 2))
+    if not rows.any():
+        return 1
+    return 3 if (_mul(d, cross[rows.argmax()]).sum(axis=1) != 0).any() else 2
 
 
 def _edges(triangles: np.ndarray, n: int) -> np.ndarray:
@@ -144,9 +166,10 @@ def _edge_spread(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float((lengths.max() - lengths.min()) / lengths.max())
 
 
-def _shells(pts: np.ndarray) -> list[tuple]:
+def _shells(pts: np.ndarray, exact: np.ndarray) -> list[tuple]:
     """Strip convex hull vertex shells off ``pts`` until the rest degenerates.
 
+    ``exact`` holds the same points as Z[phi] pairs and decides flatness.
     Each shell is ``(members, tri, ends, label)``: its vertices, its
     triangles and its edge endpoints, all as rows of ``pts``.  Only the
     last rest, when it is flat or qhull fails on it, has a label.
@@ -155,13 +178,13 @@ def _shells(pts: np.ndarray) -> list[tuple]:
     shells = []
     while len(order):
         current = pts[order]
-        rank = _affine_rank(current)
+        rank = _affine_rank(exact[order])
         label = ("point", "collinear", "coplanar", None)[rank]
         if label is None:
             try:
                 hull = ConvexHull(current)
             except QhullError:
-                # full-rank input should never get here; treat as terminal
+                # exactly full rank, yet too flat in floats for qhull; treat as terminal
                 label = "unresolved"
         if label:
             name = f"{label}(v={len(order)})" if rank else label
@@ -213,10 +236,16 @@ def _layer(pts: np.ndarray, members: np.ndarray, tri: np.ndarray, ends: np.ndarr
                      ends.shape[1], spread, pts, np.sort(members), tri)
 
 
-def peel_hulls(pts: np.ndarray) -> list[HullLayer]:
-    """Strip convex hull vertex shells until the cloud degenerates."""
+def peel_hulls(pts: np.ndarray, exact: np.ndarray | None = None) -> list[HullLayer]:
+    """Strip convex hull vertex shells until the cloud degenerates; flatness is
+    decided on ``exact`` (Z[phi] pairs), by default the floats' binary values."""
     pts = np.asarray(pts, dtype=float)
-    return [_layer(pts, *shell) for shell in _shells(pts)]
+    if exact is None:  # pairs (x * 2**k, 0) of Python ints, one k for all
+        ratios = [x.as_integer_ratio() for x in pts.ravel().tolist()]
+        den = max((q for _, q in ratios), default=1)
+        ints = np.array([p * (den // q) for p, q in ratios], dtype=object).reshape(pts.shape)
+        exact = np.stack([ints, 0 * ints], axis=-1)
+    return [_layer(pts, *shell) for shell in _shells(pts, exact)]
 
 
 @dataclass(frozen=True)
@@ -248,7 +277,8 @@ class HullReport:
 
 def analyze(vset: VertexSet, dims: Sequence[int]) -> HullReport:
     proj = project(vset, dims)
-    return HullReport(proj.dims, len(proj.keys), tuple(peel_hulls(proj.float_points)))
+    return HullReport(proj.dims, len(proj.keys),
+                      tuple(peel_hulls(proj.float_points, vset.index.pairs[proj.keys])))
 
 
 def all_dim_triples() -> list[tuple[int, int, int]]:
@@ -275,7 +305,7 @@ def tally_all(vset: VertexSet) -> list[HullReport]:
             position = np.searchsorted(codes, moved)
             shells = [(position[m], position[t], position[e], label) for m, t, e, label in shells]
         else:
-            shells = _shells(pts)
+            shells = _shells(pts, vset.index.pairs[proj.keys])
             for perm in permutations(range(3)):
                 moved = np.ravel_multi_index(ids[list(perm)], shape)
                 peeled.setdefault(np.sort(moved).tobytes(), (shells, moved))

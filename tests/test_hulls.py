@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from phi8 import hulls
-from phi8.field import GoldenExt
+from phi8.field import SQRT_PHI, GoldenExt, GoldenScalar
 from phi8.hulls import (
     HullReport,
+    VertexSet,
     all_dim_triples,
     analyze,
     build_vertices,
@@ -373,6 +374,102 @@ class TestTallyRelabels:
         tally_all(vsets[basis])
         # edges are computed once per qhull hull, never again for a mapped shell
         assert counts == {"qhull": calls, "shells": clouds, "edges": calls, "project": 56}
+
+
+def phi_times(x):
+    """phi * (a + b*phi) = b + (a + b)*phi, on a pair."""
+    a, b = x
+    return (b, a + b)
+
+
+def pair_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def pair_cloud(triples):
+    """Rows of three Z[phi] pairs, int64, with their floats."""
+    exact = np.array(triples, dtype=np.int64).reshape(-1, 3, 2)
+    return exact, exact[..., 0] + PHI * exact[..., 1]
+
+
+# a small grid of Z[phi] values
+GRID = [(a, b) for a in (-1, 0, 2) for b in (-1, 0, 1)]
+
+
+class TestExactRank:
+    """The peel's flatness test is exact over Z[phi]; no SVD, no tolerance."""
+
+    def test_point(self):
+        exact, _ = pair_cloud([[(1, 2), (0, -1), (3, 0)]] * 4)
+        assert hulls._affine_rank(exact) == 0
+        assert hulls._affine_rank(exact[:1]) == 0
+
+    def test_line_with_phi_direction(self):
+        # base + t * (1 + phi, 2, -phi) for t = 0..4
+        exact, _ = pair_cloud([[(1 + t, t), (2 * t, 0), (5, -t)] for t in range(5)])
+        assert hulls._affine_rank(exact) == 1
+
+    def test_plane_with_phi_coefficient(self):
+        # z = x + phi*y: flat over Q(phi), whatever its floats round to
+        plane = [[x, y, pair_add(x, phi_times(y))] for x in GRID for y in GRID]
+        exact, floats = pair_cloud(plane)
+        assert hulls._affine_rank(exact) == 2
+        layers = peel_hulls(floats, exact)
+        assert [l.classification for l in layers] == [f"coplanar(v={len(plane)})"]
+        # one point lifted off the plane makes the cloud solid
+        lifted = plane + [[(0, 0), (0, 0), (1, 0)]]
+        assert hulls._affine_rank(pair_cloud(lifted)[0]) == 3
+
+    def test_solid(self):
+        exact, _ = pair_cloud([[x, y, z] for x in GRID[:2] for y in GRID[:2] for z in GRID[:2]])
+        assert hulls._affine_rank(exact) == 3
+
+    def test_raw_floats_decide_on_their_binary_values(self):
+        # exactly flat in binary, however small the coordinates
+        grid = np.array([[x, y, 2.0] for x in range(3) for y in range(3)]) * 2.0 ** -40
+        assert [l.classification for l in peel_hulls(grid)] == ["coplanar(v=9)"]
+        # nearly flat goes to qhull, which cannot start a hull on it
+        bumped = np.array([[x, y, 1e-30 * (x == y == 1)] for x in range(3) for y in range(3)])
+        assert [l.classification for l in peel_hulls(bumped)] == ["unresolved(v=9)"]
+
+    @pytest.mark.parametrize("basis, scale, bound", [("U", 2 * SQRT_PHI, 8), ("cmU", 2, 14)])
+    def test_pairs_reproduce_values(self, vsets, basis, scale, bound):
+        index = vsets[basis].index
+        assert index.pairs.dtype == np.int64 and index.pairs.shape == (len(index.values), 2)
+        assert index.scale == scale
+        for (a, b), value in zip(index.pairs.tolist(), index.values, strict=True):
+            assert GoldenScalar(a, b) / index.scale == value
+        assert np.abs(index.pairs).max() == bound
+
+    def test_oversized_value_raises(self):
+        big = (GoldenExt(hulls.PAIR_ENTRY_LIMIT),) + (GoldenExt(0),) * 7
+        with pytest.raises(ValueError, match="overflow"):
+            VertexSet(1, (big,)).index
+        fits = (GoldenExt(hulls.PAIR_ENTRY_LIMIT - 1),) + (GoldenExt(0),) * 7
+        assert VertexSet(1, (fits,)).index.pairs.max() == hulls.PAIR_ENTRY_LIMIT - 1
+
+    def test_mixed_parts_raise(self):
+        mixed = (1 + SQRT_PHI,) + (GoldenExt(0),) * 7
+        with pytest.raises(ValueError, match="sqrt"):
+            VertexSet(1, (mixed,)).index
+
+    @pytest.mark.parametrize("basis", ["U", "cmU"])
+    def test_project_makes_no_linalg_call(self, vsets, basis, monkeypatch):
+        # --all and --dims give the same reports with every numpy.linalg function raising
+        vset = vsets[basis]
+        expected = [r.to_dict() for r in tally_all(vset)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy.linalg call inside project")
+
+        for name in np.linalg.__all__:
+            if name != "LinAlgError":
+                monkeypatch.setattr(np.linalg, name, forbidden)
+        tallied = [r.to_dict() for r in tally_all(vset)]
+        direct = [analyze(vset, dims).to_dict() for dims in all_dim_triples()]
+        monkeypatch.undo()
+        assert tallied == expected
+        assert direct == expected
 
 
 class TestObjEmission:
