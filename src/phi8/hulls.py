@@ -8,24 +8,23 @@ peeling splits the cloud into nested polyhedral shells.
 Each vertex set indexes its exact coordinate values once, in one table
 for all eight coordinates; a projection sorts its distinct value-id
 triples as integer codes and reads its floats and exact Z[phi] pairs
-from that table.  The affine rank that ends a peel is exact: zero tests
-on those pairs, or on raw floats' binary values in ``peel_hulls``, where
-a nearly flat rest goes to qhull and may end as ``unresolved(v=N)``.
-Floats decide two things: edge equality (the relative edge spread
-against ``EDGE_EQUAL_REL_TOL``) and qhull's merging of coplanar facets.
+from that table.  Both tests that name a layer are exact on those pairs:
+the affine rank that ends a peel, and edge equality (one squared length
+for every edge).  Floats decide only which facets qhull reports, and
+they give the printed edge spread.
 
 ``_shells`` is the one place where qhull output is read: each shell is
 its member rows, triangles and edge endpoints, as index arrays on the
-projected points.  ``_layer`` is the one builder of a ``HullLayer`` from
-a shell; a layer keeps those index arrays and builds its points and
-faces only when they are read.  ``analyze`` (``project --dims``) peels
-directly.  ``tally_all`` (``project --all``) peels one triple per class,
-triples whose point sets are equal up to the order of the columns, and
-maps those shells onto the others.  A column order is an isometry, and
-every hull here is simplicial with no two coplanar facets, so layers
-and edges carry over, and each spread, computed on the triple's own
-floats, has the bits of a direct peel; only the vertex order within a
-triangle may differ.
+projected points, and its label.  ``_layer`` is the one builder of a
+``HullLayer`` from a shell; a layer keeps those index arrays and builds
+its points and faces only when they are read.  ``analyze`` (``project
+--dims``) peels directly.  ``tally_all`` (``project --all``) peels one
+triple per class, triples whose point sets are equal up to the order of
+the columns, and maps those shells onto the others.  A column order is
+an isometry, and every hull here is simplicial with no two coplanar
+facets, so layers, edges and labels carry over, and each spread,
+computed on the triple's own floats, has the bits of a direct peel; only
+the vertex order within a triangle may differ.
 """
 from __future__ import annotations
 
@@ -44,7 +43,6 @@ from .roots import EnumerationRule, enumerate_roots, signed_images
 
 ExactPoint = tuple[GoldenExt, ...]
 
-EDGE_EQUAL_REL_TOL = 1e-6
 PAIR_ENTRY_LIMIT = 2 ** 18  # 3x3 determinants of differences, < 432 * limit**3, fit int64
 
 
@@ -166,13 +164,27 @@ def _edge_spread(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float((lengths.max() - lengths.min()) / lengths.max())
 
 
+def _classify(exact: np.ndarray, nv: int, ends: np.ndarray) -> str:
+    """Name a hull by vertex count, edge count and exact edge equality: equal
+    edges have one squared length, the sum of ``_mul(d, d)``, d = exact[a] - exact[b]."""
+    if nv == 12 and ends.shape[1] == 30 and (np.unique(ends, return_counts=True)[1] == 5).all():
+        regular, irregular = "regular icosahedron", "irregular icosahedron"
+    elif nv == 6 and ends.shape[1] == 12:
+        regular, irregular = "regular octahedron", "other(v=6)"
+    else:
+        return f"other(v={nv})"
+    d = exact[ends[0]] - exact[ends[1]]
+    lengths = _mul(d, d).sum(axis=1)
+    return regular if (lengths == lengths[0]).all() else irregular
+
+
 def _shells(pts: np.ndarray, exact: np.ndarray) -> list[tuple]:
     """Strip convex hull vertex shells off ``pts`` until the rest degenerates.
 
-    ``exact`` holds the same points as Z[phi] pairs and decides flatness.
-    Each shell is ``(members, tri, ends, label)``: its vertices, its
-    triangles and its edge endpoints, all as rows of ``pts``.  Only the
-    last rest, when it is flat or qhull fails on it, has a label.
+    ``exact`` holds the same points as Z[phi] pairs and decides flatness
+    and edge equality.  Each shell is ``(members, tri, ends, label)``:
+    its vertices, its triangles and its edge endpoints, all as rows of
+    ``pts``, and its classification.
     """
     order = np.arange(len(pts))
     shells = []
@@ -191,7 +203,8 @@ def _shells(pts: np.ndarray, exact: np.ndarray) -> list[tuple]:
             shells.append((order, np.empty((0, 3), np.intp), np.empty((2, 0), np.intp), name))
             break
         tri = order[hull.simplices]
-        shells.append((order[hull.vertices], tri, _edges(tri, len(pts)), None))
+        ends = _edges(tri, len(pts))
+        shells.append((order[hull.vertices], tri, ends, _classify(exact, len(hull.vertices), ends)))
         order = np.delete(order, hull.vertices)
     return shells
 
@@ -218,33 +231,19 @@ class HullLayer:
         return tuple(sorted(map(tuple, np.searchsorted(self.members, self.triangles).tolist())))
 
 
-def _classify(nv: int, ends: np.ndarray, spread: float) -> str:
-    """Name a hull by vertex count, edge count and edge regularity."""
-    equal = spread <= EDGE_EQUAL_REL_TOL
-    if nv == 6 and ends.shape[1] == 12 and equal:
-        return "regular octahedron"
-    if nv == 12 and ends.shape[1] == 30 and (np.unique(ends, return_counts=True)[1] == 5).all():
-        return "regular icosahedron" if equal else "irregular icosahedron"
-    return f"other(v={nv})"
-
-
 def _layer(pts: np.ndarray, members: np.ndarray, tri: np.ndarray, ends: np.ndarray,
-           label: str | None) -> HullLayer:
+           label: str) -> HullLayer:
     """The layer of one shell of ``pts``."""
-    spread = _edge_spread(pts, *ends)
-    return HullLayer(label or _classify(len(members), ends, spread), len(members),
-                     ends.shape[1], spread, pts, np.sort(members), tri)
+    return HullLayer(label, len(members), ends.shape[1], _edge_spread(pts, *ends),
+                     pts, np.sort(members), tri)
 
 
-def peel_hulls(pts: np.ndarray, exact: np.ndarray | None = None) -> list[HullLayer]:
-    """Strip convex hull vertex shells until the cloud degenerates; flatness is
-    decided on ``exact`` (Z[phi] pairs), by default the floats' binary values."""
+def peel_hulls(pts: np.ndarray, exact: np.ndarray) -> list[HullLayer]:
+    """Strip convex hull vertex shells until the cloud degenerates; ``exact``
+    holds the points of ``pts`` as Z[phi] pairs (int64 below
+    ``PAIR_ENTRY_LIMIT``, else Python ints) and decides flatness and edge
+    equality."""
     pts = np.asarray(pts, dtype=float)
-    if exact is None:  # pairs (x * 2**k, 0) of Python ints, one k for all
-        ratios = [x.as_integer_ratio() for x in pts.ravel().tolist()]
-        den = max((q for _, q in ratios), default=1)
-        ints = np.array([p * (den // q) for p, q in ratios], dtype=object).reshape(pts.shape)
-        exact = np.stack([ints, 0 * ints], axis=-1)
     return [_layer(pts, *shell) for shell in _shells(pts, exact)]
 
 

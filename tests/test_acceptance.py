@@ -4,9 +4,10 @@ One test per criterion; `pytest -v` therefore prints one pass/fail line
 per criterion.  Each test also prints a one-line verdict with the
 measured values, visible with -s or in failure reports.
 
-Exact checks use field equality (zero tolerance).  The two float
-tolerances that exist at all live in the hull classifier: relative
-edge-length spread 1e-6 and relative singular-value cutoff 1e-9.
+Exact checks use field equality (zero tolerance).  phi8 has no float
+tolerance left: the hull classifier decides flatness and edge equality on
+exact Z[phi] pairs, and floats only choose qhull's facets and give the
+printed edge spread.
 """
 import json
 import random
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import child_env
+from conftest import child_env, random_exact_image
 from phi8.constants import (
     bracket_minus,
     bracket_plus,
@@ -286,18 +287,15 @@ def test_criterion_10_property_suites():
         assert cmU ** (j + k) == (cmU ** j) * (cmU ** k)
         pow_cases += 1
 
-    # rotation invariance of hull classification
-    np_rng = np.random.default_rng(8163264)
-    phi = (1 + 5 ** 0.5) / 2
+    # rotation invariance of hull classification, under exact orthogonal maps
     ico = np.array(
-        [[0.0, a, b] for a in (-1, 1) for b in (-phi, phi)]
-        + [[a, b, 0.0] for a in (-1, 1) for b in (-phi, phi)]
-        + [[b, 0.0, a] for a in (-1, 1) for b in (-phi, phi)]
+        [[(0, 0), (a, 0), (0, b)] for a in (-1, 1) for b in (-1, 1)]  # b * phi
+        + [[(a, 0), (0, b), (0, 0)] for a in (-1, 1) for b in (-1, 1)]
+        + [[(0, b), (0, 0), (a, 0)] for a in (-1, 1) for b in (-1, 1)]
     )
     hull_cases = 0
-    for _ in range(110):
-        q, _r = np.linalg.qr(np_rng.normal(size=(3, 3)))
-        layers = peel_hulls(ico @ q.T * (0.5 + np_rng.random() * 3))
+    for k in range(110):
+        layers = peel_hulls(*random_exact_image(ico, rng, reflect=k % 2))
         assert layers[0].classification == "regular icosahedron"
         hull_cases += 1
 

@@ -1,11 +1,12 @@
 """Convex hull peeling, shell classification, and the projection tally."""
-import math
+import random
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from conftest import floats_of, random_exact_image
 from phi8 import hulls
 from phi8.field import SQRT_PHI, GoldenExt, GoldenScalar
 from phi8.hulls import (
@@ -21,39 +22,44 @@ from phi8.hulls import (
     tally_all,
 )
 
-PHI = (1 + math.sqrt(5)) / 2
+
+def cloud(triples, scale=1, dtype=np.int64):
+    """The floats (a + b*phi) / scale of rows of three Z[phi] pairs (a, b), and the pairs."""
+    exact = np.array(triples, dtype=dtype).reshape(-1, 3, 2)
+    return floats_of(exact, scale), exact
+
+
+def integers(rows):
+    """Integer coordinates as Z[phi] pairs (k, 0)."""
+    return [[(k, 0) for k in row] for row in rows]
 
 
 def octahedron():
-    return np.array(
-        [
-            [1, 0, 0], [-1, 0, 0],
-            [0, 1, 0], [0, -1, 0],
-            [0, 0, 1], [0, 0, -1],
-        ],
-        dtype=float,
-    )
+    return cloud(integers([[s * (i == k) for i in range(3)] for k in range(3) for s in (1, -1)]))
 
 
 def icosahedron():
+    # cyclic shifts of (0, a, b*phi)
     pts = []
-    for a in (-1.0, 1.0):
-        for b in (-PHI, PHI):
-            pts.append([0.0, a, b])
-            pts.append([a, b, 0.0])
-            pts.append([b, 0.0, a])
-    return np.array(pts)
+    for a in (-1, 1):
+        for b in (-1, 1):
+            pts += [[(0, 0), (a, 0), (0, b)], [(a, 0), (0, b), (0, 0)], [(0, b), (0, 0), (a, 0)]]
+    return cloud(pts)
 
 
 def cube_with_center():
-    pts = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
-    pts.append([0.0, 0.0, 0.0])
-    return np.array(pts, dtype=float)
+    return cloud(integers([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)] + [[0, 0, 0]]))
+
+
+def stretched(exact, numerators, denominator):
+    """Scale coordinate k of an exact cloud by numerators[k] / denominator."""
+    exact = exact * np.array(numerators, dtype=exact.dtype)[:, None]
+    return floats_of(exact, denominator), exact
 
 
 class TestFixtures:
     def test_octahedron(self):
-        layers = peel_hulls(octahedron())
+        layers = peel_hulls(*octahedron())
         assert len(layers) == 1
         assert layers[0].classification == "regular octahedron"
         assert layers[0].vertex_count == 6
@@ -61,42 +67,47 @@ class TestFixtures:
         assert layers[0].edge_spread <= 1e-12
 
     def test_icosahedron(self):
-        layers = peel_hulls(icosahedron())
+        layers = peel_hulls(*icosahedron())
         assert len(layers) == 1
         assert layers[0].classification == "regular icosahedron"
         assert layers[0].edge_count == 30
 
     def test_stretched_icosahedron_is_irregular(self):
-        pts = icosahedron() @ np.diag([1.0, 1.0, 1.4])
-        layers = peel_hulls(pts)
-        assert layers[0].classification == "irregular icosahedron"
+        pts, exact = stretched(icosahedron()[1], [5, 5, 7], 5)  # z times 7/5
+        assert peel_hulls(pts, exact)[0].classification == "irregular icosahedron"
+
+    def test_near_regular_icosahedron_is_irregular(self):
+        # z times (10**8 + 1) / 10**8: the edge spread is 1e-8, yet the edges
+        # differ exactly; the entries exceed PAIR_ENTRY_LIMIT, so Python ints
+        n = 10 ** 8
+        pts, exact = stretched(icosahedron()[1].astype(object), [n, n, n + 1], n)
+        assert np.abs(exact).max() > hulls.PAIR_ENTRY_LIMIT
+        layer = peel_hulls(pts, exact)[0]
+        assert layer.classification == "irregular icosahedron"
+        assert 0 < layer.edge_spread < 1e-7
 
     def test_cube_with_center(self):
         # triangulated cube facets carry diagonal edges, so it lands in
         # the catch-all bucket; the lone interior point remains
-        layers = peel_hulls(cube_with_center())
+        layers = peel_hulls(*cube_with_center())
         assert [l.classification for l in layers] == ["other(v=8)", "point"]
 
     def test_collinear(self):
-        pts = np.array([[t, 2 * t, -t] for t in range(5)], dtype=float)
-        layers = peel_hulls(pts)
+        layers = peel_hulls(*cloud(integers([[t, 2 * t, -t] for t in range(5)])))
         assert layers == [layers[0]]
         assert layers[0].classification == "collinear(v=5)"
 
     def test_coplanar(self):
-        pts = np.array(
-            [[x, y, 2.0] for x in range(3) for y in range(3)], dtype=float
-        )
-        layers = peel_hulls(pts)
+        layers = peel_hulls(*cloud(integers([[x, y, 2] for x in range(3) for y in range(3)])))
         assert layers[0].classification == "coplanar(v=9)"
 
     def test_single_point(self):
-        layers = peel_hulls(np.array([[1.0, 2.0, 3.0]]))
+        layers = peel_hulls(*cloud(integers([[1, 2, 3]])))
         assert layers[0].classification == "point"
 
     def test_nested_octahedra(self):
-        pts = np.vstack([octahedron() * 3.0, octahedron()])
-        layers = peel_hulls(pts)
+        _, exact = octahedron()
+        layers = peel_hulls(*cloud(np.vstack([exact * 3, exact])))
         assert [l.classification for l in layers] == [
             "regular octahedron", "regular octahedron",
         ]
@@ -106,32 +117,31 @@ class TestFixtures:
             raise hulls.QhullError("forced failure")
 
         monkeypatch.setattr(hulls, "ConvexHull", failing_hull)
-        pts = octahedron()
-        layers = peel_hulls(pts)
+        pts, exact = octahedron()
+        layers = peel_hulls(pts, exact)
         assert len(layers) == 1
         layer = layers[0]
         assert layer.classification == "unresolved(v=6)"
         assert (layer.vertex_count, layer.edge_count, layer.faces) == (6, 0, ())
         assert layer.points == tuple(tuple(p) for p in pts.tolist())
 
+    def test_solid_but_flat_in_floats_is_unresolved(self):
+        # a 3x3 grid with its centre lifted by 10**-30: exactly solid, so it
+        # goes to qhull, which cannot start a hull on its floats
+        n = 10 ** 30
+        grid = [[(x * n, 0), (y * n, 0), (int(x == y == 1), 0)] for x in range(3) for y in range(3)]
+        layers = peel_hulls(*cloud(grid, n, dtype=object))
+        assert [l.classification for l in layers] == ["unresolved(v=9)"]
+
 
 class TestRotationInvariance:
     def test_classification_invariant_under_rotation(self):
-        # criterion-level property: >= 100 random orthogonal maps
-        rng = np.random.default_rng(20260819)
-        ico = icosahedron()
-        octa = octahedron()
+        # criterion-level property: >= 100 random exact orthogonal maps
+        rng = random.Random(20260819)
         for k in range(120):
-            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-            scale = 0.5 + rng.random() * 4.0
-            assert (
-                peel_hulls(ico @ q.T * scale)[0].classification
-                == "regular icosahedron"
-            ), f"case {k}"
-            assert (
-                peel_hulls(octa @ q.T * scale)[0].classification
-                == "regular octahedron"
-            ), f"case {k}"
+            for shape, label in ((icosahedron, "regular icosahedron"), (octahedron, "regular octahedron")):
+                pts, exact = random_exact_image(shape()[1], rng, reflect=k % 2)
+                assert peel_hulls(pts, exact)[0].classification == label, f"case {k}"
 
 
 @pytest.fixture(scope="module")
@@ -264,7 +274,8 @@ class TestPeelBookkeeping:
     def test_classify_matches_loop_reference(self, vsets, basis, monkeypatch):
         # every hull of every projection, each peeled directly: edges from
         # a set of simplex pairs, lengths from np.linalg.norm on one edge,
-        # degrees counted
+        # degrees counted, and edges equal when their squared lengths, sums
+        # of GoldenExt squares on the exact projected points, are one value
         qhull = hulls.ConvexHull
         seen, peeled = [], []
 
@@ -272,35 +283,46 @@ class TestPeelBookkeeping:
             peeled.append((points, qhull(points)))
             return peeled[-1][1]
 
+        def square(p, q):
+            d = [x - y for x, y in zip(p, q)]
+            return d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+
         monkeypatch.setattr(hulls, "ConvexHull", recorded)
         for dims in all_dim_triples():
             peeled.clear()
+            proj = project(vsets[basis], dims)
+            exact = exact_points(vsets[basis], proj)
+            rest = list(range(len(exact)))  # the projection's rows that qhull is given
             layers = analyze(vsets[basis], dims).layers
             assert len(layers) - len(peeled) in (0, 1), dims
             for layer, (points, hull) in zip(layers, peeled):
+                assert points.tobytes() == proj.float_points[rest].tobytes(), dims
                 edges = sorted({e for s in hull.simplices.tolist() for e in combinations(sorted(s), 2)})
                 a, b = hulls._edges(hull.simplices, len(points))
                 assert list(zip(a.tolist(), b.tolist())) == edges
                 lengths = [float(np.linalg.norm(points[i] - points[j])) for i, j in edges]
                 spread = (max(lengths) - min(lengths)) / max(lengths)
                 degree = Counter(v for e in edges for v in e)
-                nv, ne, equal = len(hull.vertices), len(edges), spread <= hulls.EDGE_EQUAL_REL_TOL
-                if nv == 6 and ne == 12 and equal:
+                nv, ne = len(hull.vertices), len(edges)
+                equal = lambda: len({square(exact[rest[i]], exact[rest[j]]) for i, j in edges}) == 1
+                if nv == 6 and ne == 12 and equal():
                     label = "regular octahedron"
                 elif nv == 12 and ne == 30 and all(degree[v] == 5 for v in hull.vertices):
-                    label = "regular icosahedron" if equal else "irregular icosahedron"
+                    label = "regular icosahedron" if equal() else "irregular icosahedron"
                 else:
                     label = f"other(v={nv})"
                 got = (layer.classification, layer.vertex_count, layer.edge_count, layer.edge_spread)
                 assert got == (label, nv, ne, spread), dims
                 seen.append(label)
+                gone = set(hull.vertices.tolist())
+                rest = [r for k, r in enumerate(rest) if k not in gone]
         assert len(seen) == {"U": 524, "cmU": 1200}[basis]
         assert len(set(seen)) >= 3
 
     def test_layers_partition_the_cloud(self, vset):
         for dims in all_dim_triples():
             proj = project(vset, dims)
-            layers = peel_hulls(proj.float_points)
+            layers = peel_hulls(proj.float_points, vset.index.pairs[proj.keys])
             points = [p for layer in layers for p in layer.points]
             floats = np.array(proj.float_points, dtype=float)
             assert sorted(points) == sorted(map(tuple, floats.tolist())), dims
@@ -386,12 +408,6 @@ def pair_add(x, y):
     return (x[0] + y[0], x[1] + y[1])
 
 
-def pair_cloud(triples):
-    """Rows of three Z[phi] pairs, int64, with their floats."""
-    exact = np.array(triples, dtype=np.int64).reshape(-1, 3, 2)
-    return exact, exact[..., 0] + PHI * exact[..., 1]
-
-
 # a small grid of Z[phi] values
 GRID = [(a, b) for a in (-1, 0, 2) for b in (-1, 0, 1)]
 
@@ -400,37 +416,29 @@ class TestExactRank:
     """The peel's flatness test is exact over Z[phi]; no SVD, no tolerance."""
 
     def test_point(self):
-        exact, _ = pair_cloud([[(1, 2), (0, -1), (3, 0)]] * 4)
+        _, exact = cloud([[(1, 2), (0, -1), (3, 0)]] * 4)
         assert hulls._affine_rank(exact) == 0
         assert hulls._affine_rank(exact[:1]) == 0
 
     def test_line_with_phi_direction(self):
         # base + t * (1 + phi, 2, -phi) for t = 0..4
-        exact, _ = pair_cloud([[(1 + t, t), (2 * t, 0), (5, -t)] for t in range(5)])
+        _, exact = cloud([[(1 + t, t), (2 * t, 0), (5, -t)] for t in range(5)])
         assert hulls._affine_rank(exact) == 1
 
     def test_plane_with_phi_coefficient(self):
         # z = x + phi*y: flat over Q(phi), whatever its floats round to
         plane = [[x, y, pair_add(x, phi_times(y))] for x in GRID for y in GRID]
-        exact, floats = pair_cloud(plane)
+        floats, exact = cloud(plane)
         assert hulls._affine_rank(exact) == 2
         layers = peel_hulls(floats, exact)
         assert [l.classification for l in layers] == [f"coplanar(v={len(plane)})"]
         # one point lifted off the plane makes the cloud solid
         lifted = plane + [[(0, 0), (0, 0), (1, 0)]]
-        assert hulls._affine_rank(pair_cloud(lifted)[0]) == 3
+        assert hulls._affine_rank(cloud(lifted)[1]) == 3
 
     def test_solid(self):
-        exact, _ = pair_cloud([[x, y, z] for x in GRID[:2] for y in GRID[:2] for z in GRID[:2]])
+        _, exact = cloud([[x, y, z] for x in GRID[:2] for y in GRID[:2] for z in GRID[:2]])
         assert hulls._affine_rank(exact) == 3
-
-    def test_raw_floats_decide_on_their_binary_values(self):
-        # exactly flat in binary, however small the coordinates
-        grid = np.array([[x, y, 2.0] for x in range(3) for y in range(3)]) * 2.0 ** -40
-        assert [l.classification for l in peel_hulls(grid)] == ["coplanar(v=9)"]
-        # nearly flat goes to qhull, which cannot start a hull on it
-        bumped = np.array([[x, y, 1e-30 * (x == y == 1)] for x in range(3) for y in range(3)])
-        assert [l.classification for l in peel_hulls(bumped)] == ["unresolved(v=9)"]
 
     @pytest.mark.parametrize("basis, scale, bound", [("U", 2 * SQRT_PHI, 8), ("cmU", 2, 14)])
     def test_pairs_reproduce_values(self, vsets, basis, scale, bound):
@@ -474,7 +482,7 @@ class TestExactRank:
 
 class TestObjEmission:
     def test_obj_format(self):
-        layer = peel_hulls(octahedron())[0]
+        layer = peel_hulls(*octahedron())[0]
         text = emit_layer_obj(layer, "octa")
         lines = text.splitlines()
         assert lines[0] == "o octa"
@@ -486,5 +494,5 @@ class TestObjEmission:
                 assert all(1 <= int(t) <= 6 for t in l.split()[1:])
 
     def test_obj_deterministic(self):
-        layer = peel_hulls(icosahedron())[0]
+        layer = peel_hulls(*icosahedron())[0]
         assert emit_layer_obj(layer, "ico") == emit_layer_obj(layer, "ico")
