@@ -13,14 +13,13 @@ the affine rank that ends a peel, and edge equality (one squared length
 for every edge).  Floats decide only which facets qhull reports, and
 they give the printed edge spread.
 
-``_shells`` is the one place where qhull output is read: each shell is
-its member rows, triangles and edge endpoints, as index arrays on the
-projected points, and its label.  ``_layer`` is the one builder of a
-``HullLayer`` from a shell; a layer keeps those index arrays and builds
-its points and faces only when they are read.  ``analyze`` (``project
---dims``) peels directly.  ``tally_all`` (``project --all``) peels one
+``peel_hulls`` is the one reader of qhull output, and both ``analyze``
+(``project --dims``) and ``tally_all`` (``project --all``) call it.  A
+``HullLayer`` holds only index arrays on its cloud: its member rows, its
+triangles and its edge endpoints, with its label; counts, the edge
+spread, points and faces are derived when read.  ``tally_all`` peels one
 triple per class, triples whose point sets are equal up to the order of
-the columns, and maps those shells onto the others.  A column order is
+the columns, and maps those layers onto the others.  A column order is
 an isometry, and every hull here is simplicial with no two coplanar
 facets, so layers, edges and labels carry over, and each spread,
 computed on the triple's own floats, has the bits of a direct peel; only
@@ -56,14 +55,13 @@ class CoordinateIndex:
     preserve order, so sorting rank triples sorts the exact triples they
     stand for, and equal id triples are equal points whichever
     coordinates they came from.  ``pairs[r]`` is (a, b) in int64 with
-    ``values[r] * scale == a + b*phi``, one ``scale`` > 0 for all values.
+    ``values[r] * s == a + b*phi``, one s > 0 for all values.
     """
 
     values: tuple[GoldenExt, ...]
     floats: np.ndarray
     ranks: np.ndarray
     pairs: np.ndarray
-    scale: GoldenExt
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,7 @@ class VertexSet:
             raise ValueError(f"a scaled coordinate reaches {PAIR_ENTRY_LIMIT}; int64 ranks could overflow")
         return CoordinateIndex(values, np.array([v.to_float() for v in values]),
                                np.array([list(map(rank, col)) for col in columns], dtype=np.intp),
-                               pairs.reshape(-1, 2).astype(np.int64), scale)
+                               pairs.reshape(-1, 2).astype(np.int64))
 
 
 def build_vertices(basis: str = "U") -> VertexSet:
@@ -153,17 +151,6 @@ def _edges(triangles: np.ndarray, n: int) -> np.ndarray:
     return np.stack(np.divmod(codes, n))
 
 
-def _edge_spread(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """(max - min) / max of the edge lengths |points[a] - points[b]|; 0 without edges."""
-    if not len(a):
-        return 0.0
-    d = points[a] - points[b]
-    # sqrt(d . d) edge by edge, the float bits of np.linalg.norm(d[i]);
-    # norm(d, axis=1) sums the squares differently and moves last bits
-    lengths = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
-    return float((lengths.max() - lengths.min()) / lengths.max())
-
-
 def _classify(exact: np.ndarray, nv: int, ends: np.ndarray) -> str:
     """Name a hull by vertex count, edge count and exact edge equality: equal
     edges have one squared length, the sum of ``_mul(d, d)``, d = exact[a] - exact[b]."""
@@ -178,49 +165,39 @@ def _classify(exact: np.ndarray, nv: int, ends: np.ndarray) -> str:
     return regular if (lengths == lengths[0]).all() else irregular
 
 
-def _shells(pts: np.ndarray, exact: np.ndarray) -> list[tuple]:
-    """Strip convex hull vertex shells off ``pts`` until the rest degenerates.
-
-    ``exact`` holds the same points as Z[phi] pairs and decides flatness
-    and edge equality.  Each shell is ``(members, tri, ends, label)``:
-    its vertices, its triangles and its edge endpoints, all as rows of
-    ``pts``, and its classification.
-    """
-    order = np.arange(len(pts))
-    shells = []
-    while len(order):
-        current = pts[order]
-        rank = _affine_rank(exact[order])
-        label = ("point", "collinear", "coplanar", None)[rank]
-        if label is None:
-            try:
-                hull = ConvexHull(current)
-            except QhullError:
-                # exactly full rank, yet too flat in floats for qhull; treat as terminal
-                label = "unresolved"
-        if label:
-            name = f"{label}(v={len(order)})" if rank else label
-            shells.append((order, np.empty((0, 3), np.intp), np.empty((2, 0), np.intp), name))
-            break
-        tri = order[hull.simplices]
-        ends = _edges(tri, len(pts))
-        shells.append((order[hull.vertices], tri, ends, _classify(exact, len(hull.vertices), ends)))
-        order = np.delete(order, hull.vertices)
-    return shells
-
-
 @dataclass(frozen=True, eq=False)
 class HullLayer:
-    """One shell of a cloud as index arrays on its rows; ``points`` (the members
-    in row order) and ``faces`` (triangles that number them) are built when read."""
+    """One shell of a cloud as index arrays on its rows; counts, the edge
+    spread, ``points`` (the members in row order) and ``faces`` (triangles
+    that number them) are derived when read."""
 
     classification: str
-    vertex_count: int
-    edge_count: int
-    edge_spread: float
     cloud: np.ndarray
-    members: np.ndarray  # ascending rows of ``cloud``
+    members: np.ndarray  # rows of ``cloud``, sorted ascending here
     triangles: np.ndarray  # rows of ``cloud``, one triangle per row
+    ends: np.ndarray  # rows of ``cloud``, [a, b] edge endpoints as columns
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", np.sort(self.members))
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.members)
+
+    @property
+    def edge_count(self) -> int:
+        return self.ends.shape[1]
+
+    @cached_property
+    def edge_spread(self) -> float:
+        """(max - min) / max of the edge lengths; 0 without edges."""
+        if not self.edge_count:
+            return 0.0
+        d = self.cloud[self.ends[0]] - self.cloud[self.ends[1]]
+        # sqrt(d . d) edge by edge, the float bits of np.linalg.norm(d[i]);
+        # norm(d, axis=1) sums the squares differently and moves last bits
+        lengths = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+        return float((lengths.max() - lengths.min()) / lengths.max())
 
     @property
     def points(self) -> tuple[tuple[float, float, float], ...]:
@@ -231,20 +208,36 @@ class HullLayer:
         return tuple(sorted(map(tuple, np.searchsorted(self.members, self.triangles).tolist())))
 
 
-def _layer(pts: np.ndarray, members: np.ndarray, tri: np.ndarray, ends: np.ndarray,
-           label: str) -> HullLayer:
-    """The layer of one shell of ``pts``."""
-    return HullLayer(label, len(members), ends.shape[1], _edge_spread(pts, *ends),
-                     pts, np.sort(members), tri)
-
-
 def peel_hulls(pts: np.ndarray, exact: np.ndarray) -> list[HullLayer]:
-    """Strip convex hull vertex shells until the cloud degenerates; ``exact``
-    holds the points of ``pts`` as Z[phi] pairs (int64 below
+    """Strip convex hull vertex shells off ``pts`` until the rest degenerates.
+
+    ``exact`` holds the same points as Z[phi] pairs (int64 below
     ``PAIR_ENTRY_LIMIT``, else Python ints) and decides flatness and edge
-    equality."""
+    equality.
+    """
     pts = np.asarray(pts, dtype=float)
-    return [_layer(pts, *shell) for shell in _shells(pts, exact)]
+    order = np.arange(len(pts))
+    layers = []
+    while len(order):
+        rank = _affine_rank(exact[order])
+        label = ("point", "collinear", "coplanar", None)[rank]
+        if label is None:
+            try:
+                hull = ConvexHull(pts[order])
+            except QhullError:
+                # exactly full rank, yet too flat in floats for qhull; treat as terminal
+                label = "unresolved"
+        if label:
+            name = f"{label}(v={len(order)})" if rank else label
+            layers.append(HullLayer(name, pts, order, np.empty((0, 3), np.intp),
+                                    np.empty((2, 0), np.intp)))
+            break
+        tri = order[hull.simplices]
+        ends = _edges(tri, len(pts))
+        label = _classify(exact, len(hull.vertices), ends)
+        layers.append(HullLayer(label, pts, order[hull.vertices], tri, ends))
+        order = np.delete(order, hull.vertices)
+    return layers
 
 
 @dataclass(frozen=True)
@@ -287,11 +280,11 @@ def all_dim_triples() -> list[tuple[int, int, int]]:
 def tally_all(vset: VertexSet) -> list[HullReport]:
     """Hull layer reports for every 3-coordinate choice, sorted by dims.
 
-    The first triple of each class is peeled; the others map its shells.
+    The first triple of each class is peeled; the others map its layers.
     """
     shape = (len(vset.index.values),) * 3  # the codes of ``project``
-    # sorted codes of a point set -> (peeled shells, peeled codes in that set)
-    peeled: dict[bytes, tuple[list[tuple], np.ndarray]] = {}
+    # sorted codes of a point set -> (peeled layers, peeled codes in that set)
+    peeled: dict[bytes, tuple[list[HullLayer], np.ndarray]] = {}
     reports = []
     for dims in all_dim_triples():
         proj = project(vset, dims)
@@ -299,17 +292,17 @@ def tally_all(vset: VertexSet) -> list[HullReport]:
         codes = np.ravel_multi_index(ids, shape)
         found = peeled.get(codes.tobytes())
         if found:
-            shells, moved = found
+            layers, moved = found
             # peeled point i is point position[i] here
             position = np.searchsorted(codes, moved)
-            shells = [(position[m], position[t], position[e], label) for m, t, e, label in shells]
+            layers = [HullLayer(l.classification, pts, position[l.members], position[l.triangles],
+                                position[l.ends]) for l in layers]
         else:
-            shells = _shells(pts, vset.index.pairs[proj.keys])
+            layers = peel_hulls(pts, vset.index.pairs[proj.keys])
             for perm in permutations(range(3)):
                 moved = np.ravel_multi_index(ids[list(perm)], shape)
-                peeled.setdefault(np.sort(moved).tobytes(), (shells, moved))
-        layers = tuple(_layer(pts, *shell) for shell in shells)
-        reports.append(HullReport(proj.dims, len(proj.keys), layers))
+                peeled.setdefault(np.sort(moved).tobytes(), (layers, moved))
+        reports.append(HullReport(proj.dims, len(proj.keys), tuple(layers)))
     return reports
 
 

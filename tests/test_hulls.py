@@ -374,8 +374,12 @@ class TestTallyRelabels:
         for got, dims in zip(tally_all(vset), all_dim_triples()):
             want = analyze(vset, dims)
             for g, w in zip(got.layers, want.layers, strict=True):
-                # a layer keeps index arrays on its cloud, no per-point tuples
+                # a layer keeps index arrays on its cloud, no per-point tuples,
+                # and computes its edge spread only when it is read
                 assert not any(isinstance(v, tuple) for v in vars(g).values()), dims
+                assert "edge_spread" not in vars(g), dims
+                assert g.edge_spread == w.edge_spread, dims
+                assert "edge_spread" in vars(g), dims
                 assert g.points == w.points, dims
                 assert corners(g) == corners(w), dims
 
@@ -390,12 +394,12 @@ class TestTallyRelabels:
             return counted
 
         monkeypatch.setattr(hulls, "ConvexHull", counting("qhull", hulls.ConvexHull))
-        monkeypatch.setattr(hulls, "_shells", counting("shells", hulls._shells))
+        monkeypatch.setattr(hulls, "peel_hulls", counting("peel", hulls.peel_hulls))
         monkeypatch.setattr(hulls, "_edges", counting("edges", hulls._edges))
         monkeypatch.setattr(hulls, "project", counting("project", hulls.project))
         tally_all(vsets[basis])
-        # edges are computed once per qhull hull, never again for a mapped shell
-        assert counts == {"qhull": calls, "shells": clouds, "edges": calls, "project": 56}
+        # edges are computed once per qhull hull, never again for a mapped layer
+        assert counts == {"qhull": calls, "peel": clouds, "edges": calls, "project": 56}
 
 
 def phi_times(x):
@@ -444,9 +448,8 @@ class TestExactRank:
     def test_pairs_reproduce_values(self, vsets, basis, scale, bound):
         index = vsets[basis].index
         assert index.pairs.dtype == np.int64 and index.pairs.shape == (len(index.values), 2)
-        assert index.scale == scale
         for (a, b), value in zip(index.pairs.tolist(), index.values, strict=True):
-            assert GoldenScalar(a, b) / index.scale == value
+            assert GoldenScalar(a, b) / scale == value
         assert np.abs(index.pairs).max() == bound
 
     def test_oversized_value_raises(self):

@@ -2,7 +2,9 @@
 
 The tracer rebinds functions and methods by name and lists any it cannot
 find as missing; a rename in phi8 would silently drop those per-layer
-metrics, so this test fails on any missing hook instead.
+metrics, so this test fails on any missing hook instead.  A hook that is
+found but bypassed reads 0 just as silently, so the hull hooks are also
+checked to count what ``project --all`` does.
 """
 import json
 import subprocess
@@ -19,11 +21,29 @@ tracer.install()
 print(json.dumps(tracer.missing))
 """
 
+TALLY = """
+from phi8 import hulls
+for basis in ("U", "cmU"):
+    hulls.tally_all(hulls.build_vertices(basis))
+keys = ("hulls.peel", "hulls.layers", "hulls.qhull_calls")
+print(json.dumps({key: tracer.counts[key] for key in keys}))
+"""
 
-def test_tracer_finds_every_hook():
+
+def run_traced(script):
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], cwd=ROOT, env=child_env(),
+        [sys.executable, "-c", script], cwd=ROOT, env=child_env(),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_tracer_finds_every_hook():
+    assert run_traced(SCRIPT) == []
+
+
+def test_tally_all_peels_through_the_hooked_peel():
+    # one peel per class (6 for U, 2 for cmU), and the layers of those peels
+    counts = run_traced(SCRIPT + TALLY)
+    assert counts == {"hulls.peel": 8, "hulls.layers": 59 + 42, "hulls.qhull_calls": 53 + 40}
