@@ -5,9 +5,9 @@ per criterion.  Each test also prints a one-line verdict with the
 measured values, visible with -s or in failure reports.
 
 Exact checks use field equality (zero tolerance).  phi8 has no float
-tolerance left: the hull classifier decides flatness and edge equality on
-exact Z[phi] pairs, and floats only choose qhull's facets and give the
-printed edge spread.
+tolerance left: the hull peel decides every triangle, flatness and edge
+equality on exact Z[phi] pairs, and floats only propose wraps and give
+the printed edge spread.
 """
 import json
 import random

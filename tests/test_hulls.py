@@ -57,6 +57,18 @@ def stretched(exact, numerators, denominator):
     return floats_of(exact, denominator), exact
 
 
+def assert_outward(exact, layer):
+    """No point of the layer lies in front of any of its triangles, exactly:
+    each triangle (i, j, k) has the normal (j - i) x (k - i), over Z[phi]."""
+    z = np.moveaxis(exact[layer.members], -1, 0)
+    tri = np.searchsorted(layer.members, layer.triangles)
+    origin = z[:, tri[:, 0]]
+    normal = hulls._cross(z[:, tri[:, 1]] - origin, z[:, tri[:, 2]] - origin)
+    signs = hulls._sign(hulls._dot(z[:, None] - origin[:, :, None], normal[:, :, None]))
+    assert not (signs > 0).any()
+    assert (signs < 0).any(axis=1).all()  # no triangle is degenerate
+
+
 class TestFixtures:
     def test_octahedron(self):
         layers = peel_hulls(*octahedron())
@@ -112,26 +124,34 @@ class TestFixtures:
             "regular octahedron", "regular octahedron",
         ]
 
-    def test_qhull_error_ends_in_one_unresolved_layer(self, monkeypatch):
-        def failing_hull(points):
-            raise hulls.QhullError("forced failure")
+    @pytest.mark.parametrize("shape", [octahedron, icosahedron, cube_with_center])
+    def test_floats_only_propose(self, shape):
+        # floats that show nothing (all zero) or lie (a random cloud) leave
+        # every layer's members and oriented triangles as they are
+        pts, exact = shape()
+        want = peel_hulls(pts, exact)
+        rng = np.random.default_rng(7)
+        for floats in (np.zeros_like(pts), rng.normal(size=pts.shape)):
+            got = peel_hulls(floats, exact)
+            assert [(l.classification, l.members.tolist(), l.faces) for l in got] == \
+                [(l.classification, l.members.tolist(), l.faces) for l in want]
 
-        monkeypatch.setattr(hulls, "ConvexHull", failing_hull)
-        pts, exact = octahedron()
-        layers = peel_hulls(pts, exact)
-        assert len(layers) == 1
-        layer = layers[0]
-        assert layer.classification == "unresolved(v=6)"
-        assert (layer.vertex_count, layer.edge_count, layer.faces) == (6, 0, ())
-        assert layer.points == tuple(tuple(p) for p in pts.tolist())
-
-    def test_solid_but_flat_in_floats_is_unresolved(self):
-        # a 3x3 grid with its centre lifted by 10**-30: exactly solid, so it
-        # goes to qhull, which cannot start a hull on its floats
+    def test_solid_but_flat_in_floats_peels_exactly(self):
+        # a 3x3 grid with its centre lifted by 10**-30: exactly solid, yet flat
+        # in floats, so the exact first edge and tournament do the wrapping,
+        # and the square base is marched as one face.  The hull is a pyramid
+        # on the 4 corners; the 4 edge midpoints lie on its base edges, so
+        # they are no vertices and form the next, flat layer
         n = 10 ** 30
         grid = [[(x * n, 0), (y * n, 0), (int(x == y == 1), 0)] for x in range(3) for y in range(3)]
-        layers = peel_hulls(*cloud(grid, n, dtype=object))
-        assert [l.classification for l in layers] == ["unresolved(v=9)"]
+        pts, exact = cloud(grid, n, dtype=object)
+        assert hulls._affine_rank(exact) == 3
+        layers = peel_hulls(pts, exact)
+        assert [l.classification for l in layers] == ["other(v=5)", "coplanar(v=4)"]
+        assert [l.members.tolist() for l in layers] == [[0, 2, 4, 6, 8], [1, 3, 5, 7]]
+        # 4 sides and the base square as 2 triangles
+        assert (layers[0].edge_count, len(layers[0].faces)) == (9, 6)
+        assert_outward(exact, layers[0])
 
 
 class TestRotationInvariance:
@@ -273,51 +293,78 @@ class TestPeelBookkeeping:
     @pytest.mark.parametrize("basis", ["U", "cmU"])
     def test_classify_matches_loop_reference(self, vsets, basis, monkeypatch):
         # every hull of every projection, each peeled directly: edges from
-        # a set of simplex pairs, lengths from np.linalg.norm on one edge,
+        # a set of triangle pairs, lengths from np.linalg.norm on one edge,
         # degrees counted, and edges equal when their squared lengths, sums
         # of GoldenExt squares on the exact projected points, are one value
-        qhull = hulls.ConvexHull
+        wrap = hulls._hull
         seen, peeled = [], []
 
-        def recorded(points):
-            peeled.append((points, qhull(points)))
+        def recorded(z, points):
+            peeled.append((points, wrap(z, points)))
             return peeled[-1][1]
 
         def square(p, q):
             d = [x - y for x, y in zip(p, q)]
             return d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
 
-        monkeypatch.setattr(hulls, "ConvexHull", recorded)
+        monkeypatch.setattr(hulls, "_hull", recorded)
         for dims in all_dim_triples():
             peeled.clear()
             proj = project(vsets[basis], dims)
             exact = exact_points(vsets[basis], proj)
-            rest = list(range(len(exact)))  # the projection's rows that qhull is given
+            rest = list(range(len(exact)))  # the projection's rows that each hull is given
             layers = analyze(vsets[basis], dims).layers
             assert len(layers) - len(peeled) in (0, 1), dims
-            for layer, (points, hull) in zip(layers, peeled):
+            for layer, (points, tri) in zip(layers, peeled):
                 assert points.tobytes() == proj.float_points[rest].tobytes(), dims
-                edges = sorted({e for s in hull.simplices.tolist() for e in combinations(sorted(s), 2)})
-                a, b = hulls._edges(hull.simplices, len(points))
+                edges = sorted({e for t in tri.tolist() for e in combinations(sorted(t), 2)})
+                a, b = hulls._edges(tri, len(points))
                 assert list(zip(a.tolist(), b.tolist())) == edges
                 lengths = [float(np.linalg.norm(points[i] - points[j])) for i, j in edges]
                 spread = (max(lengths) - min(lengths)) / max(lengths)
                 degree = Counter(v for e in edges for v in e)
-                nv, ne = len(hull.vertices), len(edges)
+                vertices = sorted(degree)
+                nv, ne = len(vertices), len(edges)
                 equal = lambda: len({square(exact[rest[i]], exact[rest[j]]) for i, j in edges}) == 1
                 if nv == 6 and ne == 12 and equal():
                     label = "regular octahedron"
-                elif nv == 12 and ne == 30 and all(degree[v] == 5 for v in hull.vertices):
+                elif nv == 12 and ne == 30 and all(degree[v] == 5 for v in vertices):
                     label = "regular icosahedron" if equal() else "irregular icosahedron"
                 else:
                     label = f"other(v={nv})"
                 got = (layer.classification, layer.vertex_count, layer.edge_count, layer.edge_spread)
                 assert got == (label, nv, ne, spread), dims
                 seen.append(label)
-                gone = set(hull.vertices.tolist())
-                rest = [r for k, r in enumerate(rest) if k not in gone]
+                rest = [r for k, r in enumerate(rest) if k not in degree]
         assert len(seen) == {"U": 524, "cmU": 1200}[basis]
         assert len(set(seen)) >= 3
+
+    @pytest.mark.parametrize("basis", ["U", "cmU"])
+    def test_matches_qhull(self, vsets, basis):
+        # qhull is a test-only oracle: on every projection it peels the same
+        # layers, with the same members and the same triangles as sets
+        spatial = pytest.importorskip("scipy.spatial")
+        for dims in all_dim_triples():
+            proj = project(vsets[basis], dims)
+            layers = analyze(vsets[basis], dims).layers
+            rest = np.arange(len(proj.keys))
+            for layer in layers[:-1] if layers[-1].edge_count == 0 else layers:
+                qhull = spatial.ConvexHull(proj.float_points[rest])
+                assert layer.members.tolist() == sorted(rest[qhull.vertices].tolist()), dims
+                assert sorted(map(sorted, layer.triangles.tolist())) == \
+                    sorted(map(sorted, rest[qhull.simplices].tolist())), dims
+                rest = np.setdiff1d(rest, layer.members)
+            assert sorted(rest.tolist()) == (layers[-1].members.tolist() if layers[-1].edge_count == 0 else []), dims
+
+    def test_faces_point_outward(self, vsets):
+        # every triangle of --dims 2,3,4 and of every --all layer of both
+        # bases has no point of its layer in front, checked exactly
+        for basis, vset in vsets.items():
+            for rep in [analyze(vset, (2, 3, 4)), *tally_all(vset)]:
+                exact = vset.index.pairs[project(vset, rep.dims).keys]
+                for layer in rep.layers:
+                    if layer.edge_count:
+                        assert_outward(exact, layer)
 
     def test_layers_partition_the_cloud(self, vset):
         for dims in all_dim_triples():
@@ -393,13 +440,13 @@ class TestTallyRelabels:
                 return fn(*args)
             return counted
 
-        monkeypatch.setattr(hulls, "ConvexHull", counting("qhull", hulls.ConvexHull))
+        monkeypatch.setattr(hulls, "_hull", counting("hull", hulls._hull))
         monkeypatch.setattr(hulls, "peel_hulls", counting("peel", hulls.peel_hulls))
         monkeypatch.setattr(hulls, "_edges", counting("edges", hulls._edges))
         monkeypatch.setattr(hulls, "project", counting("project", hulls.project))
         tally_all(vsets[basis])
-        # edges are computed once per qhull hull, never again for a mapped layer
-        assert counts == {"qhull": calls, "peel": clouds, "edges": calls, "project": 56}
+        # edges are computed once per wrapped hull, never again for a mapped layer
+        assert counts == {"hull": calls, "peel": clouds, "edges": calls, "project": 56}
 
 
 def phi_times(x):
@@ -452,12 +499,35 @@ class TestExactRank:
             assert GoldenScalar(a, b) / scale == value
         assert np.abs(index.pairs).max() == bound
 
-    def test_oversized_value_raises(self):
-        big = (GoldenExt(hulls.PAIR_ENTRY_LIMIT),) + (GoldenExt(0),) * 7
-        with pytest.raises(ValueError, match="overflow"):
-            VertexSet(1, (big,)).index
-        fits = (GoldenExt(hulls.PAIR_ENTRY_LIMIT - 1),) + (GoldenExt(0),) * 7
-        assert VertexSet(1, (fits,)).index.pairs.max() == hulls.PAIR_ENTRY_LIMIT - 1
+    def test_oversized_value_keeps_python_ints(self):
+        at = lambda x: VertexSet(1, ((GoldenExt(x),) + (GoldenExt(0),) * 7,)).index.pairs
+        fits, big = at(hulls.PAIR_ENTRY_LIMIT - 1), at(hulls.PAIR_ENTRY_LIMIT)
+        assert fits.dtype == np.int64 and fits.max() == hulls.PAIR_ENTRY_LIMIT - 1
+        assert big.dtype == object and big.max() == hulls.PAIR_ENTRY_LIMIT
+
+    def test_pair_entry_limit_keeps_int64_exact(self):
+        # the largest intermediate, s*s in the sign of an orientation
+        # determinant, stays below 2**63 for entries below the limit
+        limit = hulls.PAIR_ENTRY_LIMIT
+        assert 1296 ** 2 * limit ** 6 < 2 ** 63 <= 1296 ** 2 * (limit + 1) ** 6
+        rng = np.random.default_rng(23)
+
+        def certified(top):
+            # corner clouds, entries +-top: the peel's predicates in int64
+            # and in Python ints
+            exact = rng.choice([-top, top], size=(400, 4, 3, 2))
+            z = np.moveaxis(exact.reshape(-1, 3, 2), -1, 0)
+            quads = np.arange(len(exact) * 4).reshape(-1, 4)
+            return [hulls._sign(hulls._dot(
+                        z[:, quads[:, 3]] - z[:, quads[:, 0]],
+                        hulls._cross(z[:, quads[:, 1]] - z[:, quads[:, 0]],
+                                     z[:, quads[:, 2]] - z[:, quads[:, 0]]))).tolist()
+                    for z in (z, z.astype(object))]
+
+        small, small_obj = certified(limit - 1)
+        assert small == small_obj
+        big, big_obj = certified(4 * limit)
+        assert big != big_obj  # past the limit int64 wraps around
 
     def test_mixed_parts_raise(self):
         mixed = (1 + SQRT_PHI,) + (GoldenExt(0),) * 7

@@ -2,8 +2,8 @@
 
 `import phi8` loads no submodule, and each command loads only the
 modules it runs.  Only `project` builds a convex hull, so only `project`
-(or first use of a hull name from the package) may import numpy and
-scipy.  Each import check runs in a fresh interpreter with src/ first on
+(or first use of a hull name from the package) may import numpy, and
+nothing imports scipy, which only tests use as an oracle.  Each import check runs in a fresh interpreter with src/ first on
 PYTHONPATH, because this process has long since imported everything.
 """
 import functools
@@ -63,9 +63,13 @@ class TestImportCost:
     def test_command_loads_no_hull_stack(self, argv):
         assert loaded_by(*argv).isdisjoint(HEAVY)
 
-    def test_project_loads_scipy_spatial(self):
-        # positive control: the probe does see the import when it happens
-        assert {"scipy.spatial", "dataclasses"} <= loaded_by("project", "--dims", "2,3,4")
+    @pytest.mark.parametrize(
+        "argv", (("project", "--dims", "2,3,4"), ("project", "--all")), ids=("dims", "all"))
+    def test_project_loads_numpy_and_no_scipy(self, argv):
+        # positive control: the probe does see numpy, which the hulls use
+        loaded = loaded_by(*argv)
+        assert {"numpy", "dataclasses", "phi8.hulls"} <= loaded
+        assert loaded.isdisjoint({"scipy", "scipy.spatial"})
 
     @pytest.mark.parametrize(
         "argv, absent, present",
@@ -107,7 +111,7 @@ class TestImportCost:
             "assert 'phi8.hulls' not in sys.modules\n"
             "from phi8 import hulls\n"
             "assert hulls is sys.modules['phi8.hulls']\n"
-            "assert 'scipy.spatial' in sys.modules\n"
+            "assert 'numpy' in sys.modules and 'scipy' not in sys.modules\n"
         )
         assert proc.returncode == 0, proc.stderr
 

@@ -2,7 +2,7 @@
 
 The tracer rebinds functions and methods by name and lists any it cannot
 find as missing; a rename in phi8 would silently drop those per-layer
-metrics, so this test fails on any missing hook instead.  A hook that is
+metrics, so this test fails on any missing hook but the one it names.  A hook that is
 found but bypassed reads 0 just as silently, so the hull hooks are also
 checked to count what ``project --all`` does.
 """
@@ -40,10 +40,12 @@ def run_traced(script):
 
 
 def test_tracer_finds_every_hook():
-    assert run_traced(SCRIPT) == []
+    # the hulls no longer call qhull, so its counter finds nothing to hook;
+    # the benchmark change that counts wraps from a trace drops that hook
+    assert run_traced(SCRIPT) == ["phi8.hulls.ConvexHull"]
 
 
 def test_tally_all_peels_through_the_hooked_peel():
     # one peel per class (6 for U, 2 for cmU), and the layers of those peels
     counts = run_traced(SCRIPT + TALLY)
-    assert counts == {"hulls.peel": 8, "hulls.layers": 59 + 42, "hulls.qhull_calls": 53 + 40}
+    assert counts == {"hulls.peel": 8, "hulls.layers": 59 + 42, "hulls.qhull_calls": 0}
