@@ -7,8 +7,8 @@ root system enumeration, the E8 lattice via the extended Hamming code,
 and convex hull layers of projected root vertices.
 
 ``import phi8`` loads no submodule: each exported name loads its module
-on first access (PEP 562), so the hull names alone bring in numpy, and
-a CLI command loads only the modules it runs.
+on first access (PEP 562), and a CLI command loads only the modules it
+runs.  phi8 needs nothing beyond the standard library.
 """
 from importlib import import_module
 

@@ -7,22 +7,23 @@ peeling splits the cloud into nested polyhedral shells.
 
 Each vertex set indexes its exact coordinate values once, in one table
 for all eight coordinates; a projection sorts its distinct value-id
-triples as integer codes and reads its floats and exact Z[phi] pairs
-from that table.  Every test that shapes a layer is exact on those
-pairs: the affine rank that ends a peel, each hull's triangles and so
-its members, and edge equality (one squared length for every edge).
-The hull is gift wrapped (Chand & Kapur 1970), every open edge of a
-wave at once.  Floats only propose each edge's third corner; a proposal
-stands only if an exact sign test finds no point in front of its plane
-and none on it outside the triangle, and the edges that fail wrap by an
-exact tournament.  No float decides a layer; floats give only the
-proposals and the printed edge spread.  Triangles face outward, and a
-face with more than three corners (none in the vertex sets here) is
-fanned from its least row.
+triples and reads its floats and exact Z[phi] pairs from that table.
+All of it is plain Python ints, tuples and dicts.  Every test that
+shapes a layer is exact on the pairs: the affine rank that ends a peel,
+each hull's triangles and so its members, and edge equality (one
+squared length for every edge).  The hull is gift wrapped (Chand &
+Kapur 1970): one fold over the cloud per open edge, in which a point
+takes over only if it lies strictly in front of the plane so far.  The
+points left on the final plane are settled once, after the fold: the
+next corner of the face first, then the farthest.  Triangles face
+outward, and a face with more than three corners (none in the vertex
+sets here) is marched exactly and fanned from its least row.  Floats
+decide nothing; they give only the OBJ vertices and the printed edge
+spread.
 
 ``peel_hulls`` is the one peel, and both ``analyze`` (``project
 --dims``) and ``tally_all`` (``project --all``) call it.  A
-``HullLayer`` holds only index arrays on its cloud: its member rows,
+``HullLayer`` holds only index tuples on its cloud: its member rows,
 its triangles and its edge endpoints, with its label; counts, the edge
 spread, points and faces are derived when read.  ``tally_all`` peels
 one triple per class, triples whose point sets are equal up to the
@@ -35,26 +36,22 @@ reversed to face outward.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations, permutations
-from math import lcm
+from functools import cached_property, cmp_to_key
+from itertools import chain, combinations, permutations
+from math import fsum, lcm, sqrt
+from operator import mul, sub
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .constants import BASIS_BUILDERS, build_cmU
 from .field import ONE, SQRT_PHI, GoldenExt
 from .roots import EnumerationRule, enumerate_roots, signed_images
 
 ExactPoint = tuple[GoldenExt, ...]
-
-# Entries |a|, |b| < PAIR_ENTRY_LIMIT keep every intermediate of the peel in
-# int64.  A difference is < 2L, a cross product of two < 24 L^2, and an
-# orientation determinant u + v*phi has |u|, |v| < 432 L^3; the largest
-# value formed is s*s in its sign, s = 2u + v < 1296 L^3, and
-# 1296^2 * 132^6 < 2^63.  Larger entries stay Python ints.
-PAIR_ENTRY_LIMIT = 132
+Pair = tuple[int, int]  # (a, b) for a + b*phi
+Row = tuple[int, ...]  # a point or vector as six ints: (a0, b0, a1, b1, a2, b2)
+FloatPoint = tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -62,19 +59,23 @@ class CoordinateIndex:
     """Every exact coordinate value of a vertex set, computed once.
 
     ``values`` holds the distinct values of all eight coordinates in
-    ascending order and ``floats`` their ``to_float()``; ``ranks[k, i]``
+    ascending order and ``floats`` their ``to_float()``; ``ranks[k][i]``
     is the position of point i's coordinate k in ``values``.  Ranks
     preserve order, so sorting rank triples sorts the exact triples they
     stand for, and equal id triples are equal points whichever
-    coordinates they came from.  ``pairs[r]`` is (a, b) with
-    ``values[r] * s == a + b*phi``, one s > 0 for all values: int64 when
-    every entry is below ``PAIR_ENTRY_LIMIT``, else Python ints.
+    coordinates they came from.  ``pairs[r]`` is the pair of ints (a, b)
+    with ``values[r] * s == a + b*phi``, one s > 0 for all values.
     """
 
     values: tuple[GoldenExt, ...]
-    floats: np.ndarray
-    ranks: np.ndarray
-    pairs: np.ndarray
+    floats: tuple[float, ...]
+    ranks: tuple[tuple[int, ...], ...]
+    pairs: tuple[Pair, ...]
+
+    def exact(self, keys: Iterable[tuple[int, int, int]]) -> list[tuple[Pair, Pair, Pair]]:
+        """The points of id triples, as rows of three Z[phi] pairs."""
+        p = self.pairs
+        return [(p[x], p[y], p[z]) for x, y, z in keys]
 
 
 @dataclass(frozen=True)
@@ -90,12 +91,10 @@ class VertexSet:
         scale = ONE if all(v.is_scalar() for v in values) else SQRT_PHI
         # .a and .b raise ValueError on a value with both a Q(phi) and a sqrt(phi) part
         scale *= lcm(*(x.denominator for v in values for x in ((v * scale).a, (v * scale).b)))
-        pairs = np.array([(int((v * scale).a), int((v * scale).b)) for v in values], dtype=object)
-        if (abs(pairs) < PAIR_ENTRY_LIMIT).all():
-            pairs = pairs.astype(np.int64)
-        return CoordinateIndex(values, np.array([v.to_float() for v in values]),
-                               np.array([list(map(rank, col)) for col in columns], dtype=np.intp),
-                               pairs.reshape(-1, 2))
+        scaled = [v * scale for v in values]
+        return CoordinateIndex(values, tuple(v.to_float() for v in values),
+                               tuple(tuple(map(rank, col)) for col in columns),
+                               tuple((int(v.a), int(v.b)) for v in scaled))
 
 
 def build_vertices(basis: str = "U") -> VertexSet:
@@ -109,11 +108,11 @@ def build_vertices(basis: str = "U") -> VertexSet:
 @dataclass(frozen=True, eq=False)
 class Projection:
     """The distinct projected points: ``keys`` holds their ``CoordinateIndex``
-    id triples as rows, in exact order, and ``float_points`` their floats."""
+    id triples, in exact order, and ``float_points`` their floats."""
 
     dims: tuple[int, int, int]
-    keys: np.ndarray
-    float_points: np.ndarray
+    keys: tuple[tuple[int, int, int], ...]
+    float_points: tuple[FloatPoint, ...]
 
 
 def project(vset: VertexSet, dims: Sequence[int]) -> Projection:
@@ -128,268 +127,220 @@ def project(vset: VertexSet, dims: Sequence[int]) -> Projection:
     if any(not (1 <= d <= 8) for d in dims_t):
         raise ValueError("coordinates are numbered 1 through 8")
     index = vset.index
-    # a point's code is its id triple in base len(values): sorted codes are sorted triples
-    shape = (len(index.values),) * 3
-    codes = np.unique(np.ravel_multi_index(index.ranks[[d - 1 for d in dims_t]], shape))
-    keys = np.stack(np.unravel_index(codes, shape), axis=1)
-    return Projection(dims_t, keys, index.floats[keys])
+    keys = tuple(sorted(set(zip(*(index.ranks[d - 1] for d in dims_t)))))
+    f = index.floats
+    return Projection(dims_t, keys, tuple((f[x], f[y], f[z]) for x, y, z in keys))
 
 
-# Exact geometry on Z[phi] pair arrays z: z[0] holds the a and z[1] the b
-# of each value a + b*phi, and the last axis holds the three coordinates.
+# Exact geometry on rows: six ints (a0, b0, a1, b1, a2, b2) stand for the
+# coordinates a_k + b_k*phi of a point or vector.
 
-def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Z[phi] products: (a, b)(c, d) = (ac + bd, ad + bc + bd)."""
-    (a, b), (c, d) = x, y
-    bd = b * d
-    return np.array([a * c + bd, a * d + b * c + bd])
+def _rows(exact: Iterable[Sequence[Pair]]) -> list[Row]:
+    """Rows of three Z[phi] pairs, flattened to six ints each."""
+    return [(*x, *y, *w) for x, y, w in exact]
 
 
-def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r, l = [1, 2, 0], [2, 0, 1]
-    return _mul(x[..., r], y[..., l]) - _mul(x[..., l], y[..., r])
+def _sub(x: Row, y: Row) -> Row:
+    return tuple(map(sub, x, y))
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _mul(x, y).sum(axis=-1)
+def _cross(x: Row, y: Row) -> Row:
+    """x cross y: component k is x_(k+1) y_(k+2) - x_(k+2) y_(k+1), where
+    (a + b*phi)(c + d*phi) = ac + bd + (ad + bc + bd)*phi; e_k collects the
+    b*d terms."""
+    a0, b0, a1, b1, a2, b2 = x
+    c0, d0, c1, d1, c2, d2 = y
+    e0, e1, e2 = b1 * d2 - b2 * d1, b2 * d0 - b0 * d2, b0 * d1 - b1 * d0
+    return (a1 * c2 - a2 * c1 + e0, a1 * d2 + b1 * c2 - a2 * d1 - b2 * c1 + e0,
+            a2 * c0 - a0 * c2 + e1, a2 * d0 + b2 * c0 - a0 * d2 - b0 * c2 + e1,
+            a0 * c1 - a1 * c0 + e2, a0 * d1 + b0 * c1 - a1 * d0 - b1 * c0 + e2)
 
 
-def _sign(x: np.ndarray) -> np.ndarray:
-    """Signs of a + b*phi.  With s = 2a + b, 2(a + b*phi) = s + b*sqrt5,
+def _dot(x: Row, y: Row) -> Pair:
+    a0, b0, a1, b1, a2, b2 = x
+    c0, d0, c1, d1, c2, d2 = y
+    bd = b0 * d0 + b1 * d1 + b2 * d2
+    return (a0 * c0 + a1 * c1 + a2 * c2 + bd,
+            a0 * d0 + a1 * d1 + a2 * d2 + b0 * c0 + b1 * c1 + b2 * c2 + bd)
+
+
+def _sign(x: Pair) -> int:
+    """The sign of a + b*phi.  With s = 2a + b, 2(a + b*phi) = s + b*sqrt5,
     whose sign is s's where s^2 > 5b^2 and b's elsewhere."""
     a, b = x
     s = 2 * a + b
-    return np.where(s * s > 5 * b * b, np.sign(s), np.sign(b))
+    return (s > 0) - (s < 0) if s * s > 5 * b * b else (b > 0) - (b < 0)
 
 
-def _affine_rank(exact: np.ndarray) -> int:
-    """Exact affine rank of points given as rows of three Z[phi] pairs."""
-    z = np.moveaxis(exact, -1, 0)
-    d = z[:, 1:] - z[:, :1]
-    rows = (d != 0).any(axis=(0, 2))
-    if not rows.any():
+def _lex(x: Row, y: Row) -> int:
+    """-1, 0 or 1 as x is lexicographically below, at or above y."""
+    d = _sub(x, y)
+    return next((s for s in map(_sign, (d[0:2], d[2:4], d[4:6])) if s), 0)
+
+
+def _affine_rank(z: Sequence[Row]) -> int:
+    """Exact affine rank of points given as rows."""
+    d = [_sub(p, z[0]) for p in z]
+    u = next((x for x in d if any(x)), None)
+    if u is None:
         return 0
-    cross = _cross(d, d[:, rows.argmax(), None])
-    rows = (cross != 0).any(axis=(0, 2))
-    if not rows.any():
+    c = next((w for w in (_cross(x, u) for x in d) if any(w)), None)
+    if c is None:
         return 1
-    return 3 if (_dot(d, cross[:, rows.argmax(), None]) != 0).any() else 2
+    return 3 if any(any(_dot(x, c)) for x in d) else 2
 
 
-def _tournament(cand: np.ndarray, beats) -> np.ndarray:
-    """The winner of each row of candidate ids, in log2 rounds of pairs;
-    ``beats(d, e)`` is true where e beats d, a total preorder."""
-    while cand.shape[1] > 1:
-        if cand.shape[1] % 2:
-            cand = np.concatenate([cand, cand[:, :1]], axis=1)
-        d, e = cand[:, 0::2], cand[:, 1::2]
-        cand = np.where(beats(d, e), e, d)
-    return cand[:, 0]
+def _plane(t: Row, u: Row, origin: Row) -> tuple[Row, tuple[int, ...]]:
+    """The normal n = t x u, and the coefficients (S, S.origin, V, V.origin)
+    of the side of a point p: 2 (p - origin).n = s + v*sqrt5, with
+    s = S.p - S.origin and v = V.p - V.origin."""
+    n = a0, b0, a1, b1, a2, b2 = _cross(t, u)
+    s = 2 * a0 + b0, a0 + 3 * b0, 2 * a1 + b1, a1 + 3 * b1, 2 * a2 + b2, a2 + 3 * b2
+    v = b0, a0 + b0, b1, a1 + b1, b2, a2 + b2
+    return n, (*s, sum(map(mul, s, origin)), *v, sum(map(mul, v, origin)))
 
 
-def _only(mask: np.ndarray) -> np.ndarray:
-    """Rows of candidate point ids where ``mask`` holds, other entries
-    replaced by the row's first such id."""
-    return np.where(mask, np.arange(mask.shape[1]), mask.argmax(axis=1)[:, None])
+def _fold(z: Sequence[Row], o: int, t: Row, d: int) -> tuple[int, Row, list[int]]:
+    """Wrap the line through z[o] along t, from the point d off it: the d
+    with no point in front of the plane through z[o] spanned by t and
+    z[d] - z[o], that plane's normal t x (z[d] - z[o]), and the points on
+    it met after d, the line's own included.  All points must lie within
+    less than a half-turn around the line, so one pass finds the last
+    plane: a point takes over only if it lies strictly in front."""
+    origin = z[o]
+    n, side = _plane(t, _sub(z[d], origin), origin)
+    p0, p1, p2, p3, p4, p5, pc, q0, q1, q2, q3, q4, q5, qc = side
+    on = []
+    for i, (x0, y0, x1, y1, x2, y2) in enumerate(z):
+        s = p0 * x0 + p1 * y0 + p2 * x1 + p3 * y1 + p4 * x2 + p5 * y2 - pc
+        v = q0 * x0 + q1 * y0 + q2 * x1 + q3 * y1 + q4 * x2 + q5 * y2 - qc
+        if s <= 0 and v <= 0:
+            if not (s or v):
+                on.append(i)
+        elif not (s < 0 and s * s > 5 * v * v or v < 0 and 5 * v * v > s * s):
+            d, on = i, []
+            n, side = _plane(t, _sub(z[i], origin), origin)
+            p0, p1, p2, p3, p4, p5, pc, q0, q1, q2, q3, q4, q5, qc = side
+    return d, n, on
 
 
-def _turns(x: np.ndarray, y: np.ndarray, normal_signs: np.ndarray) -> np.ndarray:
-    """For coplanar x, y: positive where y lies left of x seen from the side
-    that the plane's normal points to, zero where collinear.  x cross y is
-    parallel to the normal, so the signs of their components agree or all
-    flip."""
-    return (_sign(_cross(x, y)) * normal_signs).sum(axis=-1)
+def _corner(z: Sequence[Row], o: int, n: Row, cands: Sequence[int]) -> int:
+    """Of points cands on a plane with normal n, none at z[o] and all within
+    less than a half-turn around it, the one turned farthest clockwise seen
+    from n (the face's next corner after z[o]), and of those in one
+    direction the farthest."""
+    origin = z[o]
+    best, u = cands[0], _sub(z[cands[0]], origin)
+    for e in cands[1:]:
+        w = _sub(z[e], origin)
+        turn = _sign(_dot(_cross(u, w), n))
+        (a, b), (c, d) = _dot(w, w), _dot(u, u)
+        if turn < 0 or not turn and _sign((a - c, b - d)) > 0:
+            best, u = e, w
+    return best
 
 
-def _wrap_exact(z: np.ndarray, b: np.ndarray, axis: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Row i: the candidate d with no candidate in front of the plane through
-    b[i] spanned by axis[i] and d - b[i], for an edge ending at b[i] with
-    direction axis[i]; of coplanar candidates the next corner of the face
-    after b[i], and of collinear ones the farthest.  The candidates must lie
-    within less than a half-turn around the axis."""
-    origin, axis = z[:, b, None], axis[:, :, None]
-
-    def beats(d, e):
-        u, v = z[:, d] - origin, z[:, e] - origin
-        normal = _cross(axis, u)
-        side = _sign(_dot(normal, v))
-        tie = (side == 0) & (d != e)
-        if tie.any():
-            turn = _turns(u, v, _sign(normal))
-            side = np.where(tie, np.where(turn != 0, -turn, _sign(_dot(v, v) - _dot(u, u))), side)
-        return side > 0
-
-    return _tournament(cand, beats)
+def _wrap(z: Sequence[Row], o: int, t: Row, d: int) -> tuple[int, Row, list[int]]:
+    """The hull corner next to z[o] across the line through it along t,
+    folded from d, with the plane's normal and its points off that line."""
+    d, n, on = _fold(z, o, t, d)
+    plane = [d, *(e for e in on if e != d and any(_cross(t, _sub(z[e], z[o]))))]
+    return _corner(z, o, n, plane), n, plane
 
 
-def _off_axis(z: np.ndarray, b: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """Row i: the points off the line through b[i] along axis[i]."""
-    return (_cross(axis[:, :, None], z[:, None] - z[:, b, None]) != 0).any(axis=(0, 3))
-
-
-def _first_edge(z: np.ndarray) -> tuple[int, int]:
-    """Two ends of one hull edge, exactly.  The lexicographic minimum p is a
-    vertex; wrapping the downward vertical line through p, as if an edge
-    ended at p, gives p's next corner on a vertical face."""
-
-    def below(d, e):
-        s = _sign(z[:, e] - z[:, d])
-        return np.where(s[..., 0] != 0, s[..., 0], np.where(s[..., 1] != 0, s[..., 1], s[..., 2])) < 0
-
-    p = _tournament(np.arange(z.shape[1])[None], below)
-    down = np.zeros((2, 1, 3), dtype=z.dtype)
-    down[0, 0, 2] = -1
-    return int(p[0]), int(_wrap_exact(z, p, down, _only(_off_axis(z, p, down)))[0])
-
-
-def _certified(z: np.ndarray, a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Row i: whether the triangle (a[i], b[i], d[i]) is a whole hull face,
-    outward: no point in front of its normal (b - a) x (d - a), some point
-    behind, and every point on its plane inside it or on its edges."""
-    origin = z[:, a]
-    normal = _cross(z[:, b] - origin, z[:, d] - origin)
-    signs = _sign(_dot(z[:, None] - origin[:, :, None], normal[:, :, None]))
-    ok = ~(signs > 0).any(axis=1) & (signs < 0).any(axis=1)
-    row, e = np.nonzero(signs == 0)
-    extra = (e != a[row]) & (e != b[row]) & (e != d[row])
-    row, e = row[extra], e[extra]
-    if len(row):
-        normal_signs = _sign(normal[:, row])
-        inside = np.ones(len(row), dtype=bool)
-        for x, y in ((a, b), (b, d), (d, a)):
-            x, y = z[:, x[row]], z[:, y[row]]
-            inside &= _turns(y - x, z[:, e] - x, normal_signs) >= 0
-        ok[row[~inside]] = False
-    return ok
-
-
-def _face(z: np.ndarray, a: int, b: int, d: int) -> np.ndarray:
-    """The outward triangles of the hull face on the plane of (a, b, d), a
-    plane with no point in front: its polygon, marched exactly from the
-    edge a -> b, as a fan from its least row."""
-    origin = z[:, a, None]
-    on_plane = _dot(z - origin, _cross(z[:, b, None] - origin, z[:, d, None] - origin)) == 0
-    on_plane = on_plane.all(axis=0)
+def _face(z: Sequence[Row], a: int, b: int, n: Row) -> list[tuple[int, int, int]]:
+    """The outward triangles of the hull face with normal n on the edge
+    a -> b: its polygon, marched exactly from that edge, as a fan from its
+    least row."""
+    plane = [i for i, p in enumerate(z) if not any(_dot(_sub(p, z[a]), n))]
     ring = [a, b]
     while True:
-        cur, axis = np.array(ring[-1:]), z[:, ring[-1:]] - z[:, ring[-2:-1]]
-        nxt = int(_wrap_exact(z, cur, axis, _only(on_plane & _off_axis(z, cur, axis)))[0])
+        t = _sub(z[ring[-1]], z[ring[-2]])
+        nxt = _corner(z, ring[-1], n, [e for e in plane if any(_cross(t, _sub(z[e], z[ring[-1]])))])
         if nxt == ring[0]:
             break
         ring.append(nxt)
-    ring = np.roll(ring, -int(np.argmin(ring)))
-    return np.stack([np.full(len(ring) - 2, ring[0]), ring[1:-1], ring[2:]], axis=1)
+    k = ring.index(min(ring))
+    ring = ring[k:] + ring[:k]
+    return [(ring[0], x, y) for x, y in zip(ring[1:-1], ring[2:])]
 
 
-def _propose(floats: np.ndarray, ends: np.ndarray, pa: np.ndarray, pb: np.ndarray,
-             pc: np.ndarray) -> np.ndarray:
-    """Float guesses of each open edge pa -> pb's third corner: the point
-    that folds least from the triangle (pb, pa, pc) behind it, the argmin of
-    atan2(h, r), h its height over that triangle and r its reach beyond the
-    edge; of near ties, the one farthest from the edge's line.  Row i never
-    proposes the points ends[i]."""
-    t = pb - pa
-    x, y = pa - pb, pc - pb
-    normal = x[:, [1, 2, 0]] * y[:, [2, 0, 1]] - x[:, [2, 0, 1]] * y[:, [1, 2, 0]]
-    reach = t[:, [1, 2, 0]] * normal[:, [2, 0, 1]] - t[:, [2, 0, 1]] * normal[:, [1, 2, 0]]
-    rel = floats[None] - pa[:, None]
-    # |reach| = |t| |normal|: scale h to match, so that atan2 reads true angles
-    h = np.einsum("mnk,mk->mn", rel, normal) * np.sqrt((t * t).sum(axis=1))[:, None]
-    r = np.einsum("mnk,mk->mn", rel, reach)
-    fold = np.arctan2(h, r)
-    fold[np.arange(len(ends))[:, None], ends] = np.inf  # an edge's own ends fold by rounding noise
-    # of points on one face (folds equal up to rounding) the corner is the farthest out
-    near = fold <= fold.min(axis=1, keepdims=True) + 1e-9
-    return np.where(near, -(h * h + r * r), np.inf).argmin(axis=1)
+def _hull(z: Sequence[Row]) -> list[tuple[int, int, int]]:
+    """The outward triangles of the hull of a solid cloud whose first row is
+    its lexicographic minimum, by gift wrapping, one open edge at a time."""
+    # every other point lies beside or above the vertical line through row
+    # 0, so wrapping that line as if it were an edge ending at row 0 gives
+    # a hull edge 0 -> q
+    start = next(i for i, p in enumerate(z) if p[:4] != z[0][:4])
+    q = _wrap(z, 0, (0, 0, 0, 0, -1, 0), start)[0]
+    t = _sub(z[q], z[0])
+    todo = [(0, q, next(i for i, p in enumerate(z) if any(_cross(t, _sub(p, z[q])))))]
+    third: dict[tuple[int, int], int] = {}  # (u, v) -> w for each triangle (u, v, w)
+    triangles = []
+    while todo:
+        a, b, d = todo.pop()  # wrap the face on the edge a -> b from d
+        if (a, b) in third:
+            continue
+        d, n, plane = _wrap(z, b, _sub(z[b], z[a]), d)
+        # a triangle, unless a point of its plane lies beyond its edge d -> a
+        if any(_sign(_dot(_cross(_sub(z[a], z[d]), _sub(z[e], z[d])), n)) < 0 for e in plane):
+            face = _face(z, a, b, n)
+        else:
+            k = min(range(3), key=(a, b, d).__getitem__)
+            face = [((a, b, d) * 2)[k:k + 3]]  # least corner first
+        for tri in face:
+            triangles.append(tri)
+            for u, v, w in (tri, tri[1:] + tri[:1], tri[2:] + tri[:2]):
+                third[u, v] = w
+                todo.append((v, u, w))
+    return triangles
 
 
-def _start(z: np.ndarray, floats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A first open edge a -> b and its proposed third corner d.  Floats
-    propose a face through the point of least x: wrap the vertical line
-    through it from the plane x = min, then wrap the edge found.  If that
-    triangle is no certified face, the exact first edge, with no proposal."""
-    p = int(floats[:, 0].argmin())
-    pp = floats[p, None]
-    up = pp + [0.0, 0.0, 1.0]
-    q = int(_propose(floats, np.array([[p]]), up, pp, pp + [0.0, 1.0, 0.0])[0])
-    a, b = np.array([q]), np.array([p])
-    d = _propose(floats, np.array([[q, p]]), floats[a], pp, up)
-    if _certified(z, a, b, d)[0]:
-        return a, b, d
-    a, b = (np.array([i]) for i in _first_edge(z))
-    return a, b, a.copy()
+def _edges(triangles: Iterable[tuple[int, int, int]]) -> list[tuple[int, int]]:
+    """The distinct edges (a, b), a < b, of triangles, sorted."""
+    return sorted({(min(u, v), max(u, v)) for t in triangles for u, v in zip(t, t[1:] + t[:1])})
 
 
-def _hull(z: np.ndarray, floats: np.ndarray) -> np.ndarray:
-    """The outward triangles of the hull of a solid cloud, by gift wrapping
-    every open edge of a wave at once.  Floats propose each edge's third
-    corner, and a proposal stands only if ``_certified``.  Other edges wrap
-    by an exact tournament, and a face with more corners becomes a fan."""
-    n = z.shape[1]
-    done = np.zeros((n, n), dtype=bool)  # directed edges of emitted triangles
-    third = np.zeros((n, n), dtype=np.intp)  # third[u, v]: the corner after u -> v
-    a, b, d = _start(z, floats)
-    faces = []
-    while len(a):
-        ok = _certified(z, a, b, d)
-        if not ok.all():
-            bad = ~ok
-            axis = z[:, b[bad]] - z[:, a[bad]]
-            d[bad] = _wrap_exact(z, b[bad], axis, _only(_off_axis(z, b[bad], axis)))
-            ok[bad] = _certified(z, a[bad], b[bad], d[bad])
-        tri = np.concatenate([np.stack([a[ok], b[ok], d[ok]], axis=1),
-                              *(_face(z, *abd) for abd in zip(a[~ok], b[~ok], d[~ok]))])
-        # one rotation per triangle, least corner first, so duplicates are equal rows
-        tri = tri[np.arange(len(tri))[:, None], (tri.argmin(axis=1)[:, None] + [0, 1, 2]) % 3]
-        tri = tri[np.unique((tri[:, 0] * n + tri[:, 1]) * n + tri[:, 2], return_index=True)[1]]
-        for k in range(3):
-            u, v, w = tri[:, k], tri[:, (k + 1) % 3], tri[:, (k + 2) % 3]
-            done[u, v] = True
-            third[u, v] = w
-        faces.append(tri)
-        u, v = np.nonzero(done & ~done.T)
-        a, b = v, u
-        d = _propose(floats, np.stack([a, b], axis=1), floats[a], floats[b], floats[third[u, v]])
-    return np.concatenate(faces)
-
-
-def _edges(triangles: np.ndarray, n: int) -> np.ndarray:
-    """Endpoints [a, b], a < b, of the distinct edges of triangles on points 0..n-1."""
-    tri = np.sort(triangles, axis=1).astype(np.intp)
-    codes = np.unique(np.concatenate([tri[:, 0] * n + tri[:, 1],
-                                      tri[:, 0] * n + tri[:, 2],
-                                      tri[:, 1] * n + tri[:, 2]]))
-    return np.stack(np.divmod(codes, n))
-
-
-def _classify(exact: np.ndarray, nv: int, ends: np.ndarray) -> str:
+def _classify(z: Sequence[Row], nv: int, ends: Sequence[tuple[int, int]]) -> str:
     """Name a hull by vertex count, edge count and exact edge equality: equal
-    edges have one squared length, the sum of ``_mul(d, d)``, d = exact[a] - exact[b]."""
-    if nv == 12 and ends.shape[1] == 30 and (np.unique(ends, return_counts=True)[1] == 5).all():
+    edges have one squared length, ``_dot(d, d)``, d = z[a] - z[b]."""
+    if nv == 12 and len(ends) == 30 and set(Counter(chain(*ends)).values()) == {5}:
         regular, irregular = "regular icosahedron", "irregular icosahedron"
-    elif nv == 6 and ends.shape[1] == 12:
+    elif nv == 6 and len(ends) == 12:
         regular, irregular = "regular octahedron", "other(v=6)"
     else:
         return f"other(v={nv})"
-    d = np.moveaxis(exact[ends[0]] - exact[ends[1]], -1, 0)
-    lengths = _dot(d, d)
-    return regular if (lengths == lengths[:, :1]).all() else irregular
+    lengths = {_dot(d, d) for d in (_sub(z[a], z[b]) for a, b in ends)}
+    return regular if len(lengths) == 1 else irregular
+
+
+_SPLIT = 2.0 ** 27 + 1  # Veltkamp's splitter: x = hi + lo, each part 26 bits wide
+
+
+def _fma_square(x: float, acc: float) -> float:
+    """fl(x*x + acc) with the one rounding of a fused multiply-add: x*x is
+    exactly hi*hi + 2*hi*lo + lo*lo (Dekker 1971), and fsum rounds the
+    exact sum of its terms once."""
+    c = _SPLIT * x
+    hi = c - (c - x)
+    lo = x - hi
+    return fsum((hi * hi, 2 * hi * lo, lo * lo, acc))
 
 
 @dataclass(frozen=True, eq=False)
 class HullLayer:
-    """One shell of a cloud as index arrays on its rows; counts, the edge
+    """One shell of a cloud as index tuples on its rows; counts, the edge
     spread, ``points`` (the members in row order) and ``faces`` (triangles
     that number them) are derived when read."""
 
     classification: str
-    cloud: np.ndarray
-    members: np.ndarray  # rows of ``cloud``, sorted ascending here
-    triangles: np.ndarray  # rows of ``cloud``, one triangle per row
-    ends: np.ndarray  # rows of ``cloud``, [a, b] edge endpoints as columns
+    cloud: Sequence[FloatPoint]
+    members: tuple[int, ...]  # rows of ``cloud``, sorted ascending here
+    triangles: tuple[tuple[int, int, int], ...]  # rows of ``cloud``
+    ends: tuple[tuple[int, int], ...]  # rows of ``cloud``, one edge each
 
     def __post_init__(self):
-        object.__setattr__(self, "members", np.sort(self.members))
+        object.__setattr__(self, "members", tuple(sorted(self.members)))
 
     @property
     def vertex_count(self) -> int:
@@ -397,52 +348,58 @@ class HullLayer:
 
     @property
     def edge_count(self) -> int:
-        return self.ends.shape[1]
+        return len(self.ends)
 
     @cached_property
     def edge_spread(self) -> float:
-        """(max - min) / max of the edge lengths; 0 without edges."""
-        if not self.edge_count:
+        """(max - min) / max of the edge lengths; 0 without edges.  With d
+        the difference of an edge's float ends, its length is
+        sqrt(fl(d2^2 + fl(d1^2 + fl(d0^2)))), one rounding per fused step:
+        the bits of a fused multiply-add dot product, whatever the host."""
+        if not self.ends:
             return 0.0
-        d = self.cloud[self.ends[0]] - self.cloud[self.ends[1]]
-        # sqrt(d . d) edge by edge, the float bits of np.linalg.norm(d[i]);
-        # norm(d, axis=1) sums the squares differently and moves last bits
-        lengths = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
-        return float((lengths.max() - lengths.min()) / lengths.max())
+        lengths = []
+        for a, b in self.ends:
+            (x0, x1, x2), (y0, y1, y2) = self.cloud[a], self.cloud[b]
+            lengths.append(sqrt(_fma_square(x2 - y2, _fma_square(x1 - y1, (x0 - y0) * (x0 - y0)))))
+        return (max(lengths) - min(lengths)) / max(lengths)
 
     @property
-    def points(self) -> tuple[tuple[float, float, float], ...]:
-        return tuple(map(tuple, self.cloud[self.members].tolist()))
+    def points(self) -> tuple[FloatPoint, ...]:
+        return tuple(self.cloud[i] for i in self.members)
 
     @property
     def faces(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(sorted(map(tuple, np.searchsorted(self.members, self.triangles).tolist())))
+        at = {m: k for k, m in enumerate(self.members)}
+        return tuple(sorted((at[a], at[b], at[c]) for a, b, c in self.triangles))
 
 
-def peel_hulls(pts: np.ndarray, exact: np.ndarray) -> list[HullLayer]:
+def peel_hulls(pts: Sequence[FloatPoint], exact: Sequence[Sequence[Pair]]) -> list[HullLayer]:
     """Strip convex hull vertex shells off ``pts`` until the rest degenerates.
 
-    ``exact`` holds the same points as Z[phi] pairs (int64 below
-    ``PAIR_ENTRY_LIMIT``, else Python ints) and decides every layer: its
-    members, its triangles, flatness and edge equality.
+    ``exact`` holds the same points as rows of three Z[phi] pairs and
+    decides every layer: its members, its triangles, flatness and edge
+    equality.
     """
-    pts = np.asarray(pts, dtype=float)
-    order = np.arange(len(pts))
+    z = _rows(exact)
+    # in exact lexicographic order every rest starts at a hull vertex; a
+    # projection's rows are in that order already
+    order = sorted(range(len(z)), key=cmp_to_key(lambda i, j: _lex(z[i], z[j])))
     layers = []
-    while len(order):
-        rank = _affine_rank(exact[order])
+    while order:
+        rest = [z[i] for i in order]
+        rank = _affine_rank(rest)
         if rank < 3:
             label = ("point", "collinear", "coplanar")[rank]
-            name = f"{label}(v={len(order)})" if rank else label
-            layers.append(HullLayer(name, pts, order, np.empty((0, 3), np.intp),
-                                    np.empty((2, 0), np.intp)))
+            layers.append(HullLayer(f"{label}(v={len(order)})" if rank else label, pts, order, (), ()))
             break
-        tri = _hull(np.moveaxis(exact[order], -1, 0), pts[order])
-        vertices = np.unique(tri)
-        tri = order[tri]
-        ends = _edges(tri, len(pts))
-        layers.append(HullLayer(_classify(exact, len(vertices), ends), pts, order[vertices], tri, ends))
-        order = np.delete(order, vertices)
+        tri = _hull(rest)
+        vertices = {i for t in tri for i in t}
+        tri = tuple((order[a], order[b], order[c]) for a, b, c in tri)
+        ends = tuple(_edges(tri))
+        layers.append(HullLayer(_classify(z, len(vertices), ends), pts,
+                                [order[i] for i in vertices], tri, ends))
+        order = [i for k, i in enumerate(order) if k not in vertices]
     return layers
 
 
@@ -476,7 +433,7 @@ class HullReport:
 def analyze(vset: VertexSet, dims: Sequence[int]) -> HullReport:
     proj = project(vset, dims)
     return HullReport(proj.dims, len(proj.keys),
-                      tuple(peel_hulls(proj.float_points, vset.index.pairs[proj.keys])))
+                      tuple(peel_hulls(proj.float_points, vset.index.exact(proj.keys))))
 
 
 def all_dim_triples() -> list[tuple[int, int, int]]:
@@ -488,31 +445,30 @@ def tally_all(vset: VertexSet) -> list[HullReport]:
 
     The first triple of each class is peeled; the others map its layers.
     """
-    shape = (len(vset.index.values),) * 3  # the codes of ``project``
-    # sorted codes of a point set -> (peeled layers, peeled codes in that
-    # set, whether that column order is odd)
-    peeled: dict[bytes, tuple[list[HullLayer], np.ndarray, bool]] = {}
+    # a point set -> (peeled layers, the peeled keys in that set's column
+    # order, whether that column order is odd)
+    peeled: dict[frozenset, tuple[list[HullLayer], list[tuple[int, int, int]], bool]] = {}
     reports = []
     for dims in all_dim_triples():
         proj = project(vset, dims)
-        pts, ids = proj.float_points, proj.keys.T  # ids: one row per coordinate
-        codes = np.ravel_multi_index(ids, shape)
-        found = peeled.get(codes.tobytes())
+        pts, keys = proj.float_points, proj.keys
+        found = peeled.get(frozenset(keys))
         if found:
             layers, moved, odd = found
-            # peeled point i is point position[i] here
-            position = np.searchsorted(codes, moved)
-            layers = [HullLayer(l.classification, pts, position[l.members],
-                                position[l.triangles[:, ::-1] if odd else l.triangles],
-                                position[l.ends]) for l in layers]
+            row = {key: i for i, key in enumerate(keys)}
+            at = [row[key] for key in moved]  # peeled point i is point at[i] here
+            layers = [HullLayer(l.classification, pts, [at[i] for i in l.members],
+                                tuple((at[c], at[b], at[a]) if odd else (at[a], at[b], at[c])
+                                      for a, b, c in l.triangles),
+                                tuple((at[a], at[b]) for a, b in l.ends)) for l in layers]
         else:
-            layers = peel_hulls(pts, vset.index.pairs[proj.keys])
+            layers = peel_hulls(pts, vset.index.exact(keys))
             for perm in permutations(range(3)):
-                moved = np.ravel_multi_index(ids[list(perm)], shape)
+                moved = [tuple(key[k] for k in perm) for key in keys]
                 # an odd column order is a reflection: it turns triangles inside out
                 odd = (perm[1] - perm[0]) * (perm[2] - perm[0]) * (perm[2] - perm[1]) < 0
-                peeled.setdefault(np.sort(moved).tobytes(), (layers, moved, odd))
-        reports.append(HullReport(proj.dims, len(proj.keys), tuple(layers)))
+                peeled.setdefault(frozenset(moved), (layers, moved, odd))
+        reports.append(HullReport(proj.dims, len(keys), tuple(layers)))
     return reports
 
 

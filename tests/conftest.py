@@ -4,8 +4,6 @@ import os
 from math import lcm
 from pathlib import Path
 
-import numpy as np
-
 from phi8.matrix import ExactMatrix
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -22,8 +20,8 @@ def child_env():
 
 
 def floats_of(exact, scale=1):
-    """The floats (a + b*phi) / scale of Z[phi] pairs (a, b) on the last axis."""
-    return ((exact[..., 0] + PHI * exact[..., 1]) / scale).astype(float)
+    """The floats (a + b*phi) / scale of rows of Z[phi] pairs (a, b)."""
+    return [tuple((a + PHI * b) / scale for a, b in row) for row in exact]
 
 
 def random_exact_image(exact, rng, reflect):
@@ -45,5 +43,7 @@ def random_exact_image(exact, rng, reflect):
     num = [[int(x.a * den) for x in row] for row in Q]
     assert ExactMatrix(num) == Q * den
     p, q = rng.randint(1, 9), rng.randint(1, 9)
-    image = p * np.einsum("ij,njk->nik", np.array(num, dtype=np.int64), exact)
+    # image[n][i] = p * sum_j num[i][j] * exact[n][j], on both parts of each pair
+    image = [tuple(tuple(p * sum(num[i][j] * row[j][k] for j in range(3)) for k in range(2))
+                   for i in range(3)) for row in exact]
     return floats_of(image, q * den), image

@@ -6,8 +6,8 @@ measured values, visible with -s or in failure reports.
 
 Exact checks use field equality (zero tolerance).  phi8 has no float
 tolerance left: the hull peel decides every triangle, flatness and edge
-equality on exact Z[phi] pairs, and floats only propose wraps and give
-the printed edge spread.
+equality on exact Z[phi] pairs, and floats give only the printed edge
+spread and the OBJ vertices.
 """
 import json
 import random
@@ -15,8 +15,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-
-import numpy as np
 
 from conftest import child_env, random_exact_image
 from phi8.constants import (
@@ -288,7 +286,7 @@ def test_criterion_10_property_suites():
         pow_cases += 1
 
     # rotation invariance of hull classification, under exact orthogonal maps
-    ico = np.array(
+    ico = (
         [[(0, 0), (a, 0), (0, b)] for a in (-1, 1) for b in (-1, 1)]  # b * phi
         + [[(a, 0), (0, b), (0, 0)] for a in (-1, 1) for b in (-1, 1)]
         + [[(0, b), (0, 0), (a, 0)] for a in (-1, 1) for b in (-1, 1)]
