@@ -21,6 +21,14 @@ sets here) is marched exactly and fanned from its least row.  Floats
 decide nothing; they give only the OBJ vertices and the printed edge
 spread.
 
+A peel wraps one open edge per orbit (Bremner, Dutour Sikirić &
+Schürmann 2009).  A cloud's group, the signed coordinate permutations
+that map its exact rows onto themselves, is found once and maps every
+layer onto itself; a moved cloud has only the identity.  A true
+triangle that a wrap finds brings its images, a reflection's reversed
+to face outward.  Polygon faces are not mapped: a fan from the least
+row does not commute with the group.  A hull's triangles are sorted.
+
 ``peel_hulls`` is the one peel, and both ``analyze`` (``project
 --dims``) and ``tally_all`` (``project --all``) call it.  A
 ``HullLayer`` holds only index tuples on its cloud: its member rows,
@@ -32,17 +40,17 @@ order is an isometry, and every hull here is simplicial with no two
 coplanar facets, so layers, edges and labels carry over, and each
 spread, computed on the triple's own floats, has the bits of a direct
 peel; an odd column order is a reflection, so the mapped triangles are
-reversed to face outward.
+reversed to face outward.  A mapped layer keeps the peeled layer, the
+row map and its parity, and builds its index tuples when read.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, permutations, product
 from math import fsum, lcm, sqrt
-from operator import mul, sub
-from typing import Iterable, Sequence
+from operator import itemgetter, mul, sub
+from typing import Iterable, NamedTuple, Sequence
 
 from .constants import BASIS_BUILDERS, build_cmU
 from .field import ONE, SQRT_PHI, GoldenExt
@@ -52,10 +60,14 @@ ExactPoint = tuple[GoldenExt, ...]
 Pair = tuple[int, int]  # (a, b) for a + b*phi
 Row = tuple[int, ...]  # a point or vector as six ints: (a0, b0, a1, b1, a2, b2)
 FloatPoint = tuple[float, float, float]
+Symmetry = tuple[list[int], bool]  # a row map g (row i goes to row g[i]), and if it reflects
 
 
-@dataclass(frozen=True)
-class CoordinateIndex:
+def _frozen(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class CoordinateIndex(NamedTuple):
     """Every exact coordinate value of a vertex set, computed once.
 
     ``values`` holds the distinct values of all eight coordinates in
@@ -78,10 +90,13 @@ class CoordinateIndex:
         return [(p[x], p[y], p[z]) for x, y, z in keys]
 
 
-@dataclass(frozen=True)
 class VertexSet:
-    positive_root_count: int
-    points: tuple[ExactPoint, ...]
+    """The signed root images, with their ``CoordinateIndex`` built on first read."""
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, positive_root_count: int, points: tuple[ExactPoint, ...]) -> None:
+        vars(self).update(positive_root_count=positive_root_count, points=points)
 
     @cached_property
     def index(self) -> CoordinateIndex:
@@ -105,8 +120,7 @@ def build_vertices(basis: str = "U") -> VertexSet:
     return VertexSet(len(records), tuple(signed_images(records, BASIS_BUILDERS[basis]().rows)))
 
 
-@dataclass(frozen=True, eq=False)
-class Projection:
+class Projection(NamedTuple):
     """The distinct projected points: ``keys`` holds their ``CoordinateIndex``
     id triples, in exact order, and ``float_points`` their floats."""
 
@@ -265,9 +279,29 @@ def _face(z: Sequence[Row], a: int, b: int, n: Row) -> list[tuple[int, int, int]
     return [(ring[0], x, y) for x, y in zip(ring[1:-1], ring[2:])]
 
 
-def _hull(z: Sequence[Row]) -> list[tuple[int, int, int]]:
+def _symmetries(z: Sequence[Row]) -> list[Symmetry]:
+    """The signed permutations of the three coordinates that map the rows
+    onto themselves, the identity included."""
+    columns = [[(p[k], p[k + 1]) for p in z] for k in (0, 2, 4)]
+    signed = [{1: c, -1: [(-a, -b) for a, b in c]} for c in columns]
+    at = {p: i for i, p in enumerate(zip(*columns))}
+    group = []
+    for i, j, k in permutations(range(3)):
+        for r, s, t in product((1, -1), repeat=3):
+            x, y, w = signed[i][r], signed[j][s], signed[k][t]
+            if (x[0], y[0], w[0]) not in at:  # most fail at once
+                continue
+            g = list(map(at.get, zip(x, y, w)))
+            if None not in g:
+                group.append((g, (j - i) * (k - i) * (k - j) * r * s * t < 0))
+    return group
+
+
+def _hull(z: Sequence[Row], group: Iterable[Symmetry]) -> list[tuple[int, int, int]]:
     """The outward triangles of the hull of a solid cloud whose first row is
-    its lexicographic minimum, by gift wrapping, one open edge at a time."""
+    its lexicographic minimum, sorted, each from its least row, by gift
+    wrapping one open edge per orbit: ``group`` maps the rows onto
+    themselves, and each triangle a wrap finds brings its images."""
     # every other point lies beside or above the vertical line through row
     # 0, so wrapping that line as if it were an edge ending at row 0 gives
     # a hull edge 0 -> q
@@ -284,16 +318,19 @@ def _hull(z: Sequence[Row]) -> list[tuple[int, int, int]]:
         d, n, plane = _wrap(z, b, _sub(z[b], z[a]), d)
         # a triangle, unless a point of its plane lies beyond its edge d -> a
         if any(_sign(_dot(_cross(_sub(z[a], z[d]), _sub(z[e], z[d])), n)) < 0 for e in plane):
-            face = _face(z, a, b, n)
+            face = _face(z, a, b, n)  # its fan does not commute with the group
         else:
-            k = min(range(3), key=(a, b, d).__getitem__)
-            face = [((a, b, d) * 2)[k:k + 3]]  # least corner first
+            # the triangle and its images; a reflection's image is reversed to face outward
+            face = [(a, b, d), *((g[a], g[d], g[b]) if odd else (g[a], g[b], g[d])
+                                 for g, odd in group)]
         for tri in face:
-            triangles.append(tri)
+            if (tri[0], tri[1]) in third:  # an image found before, e.g. by a stabiliser
+                continue
+            triangles.append((tri * 2)[tri.index(min(tri)):][:3])  # least corner first
             for u, v, w in (tri, tri[1:] + tri[:1], tri[2:] + tri[:2]):
                 third[u, v] = w
                 todo.append((v, u, w))
-    return triangles
+    return sorted(triangles)
 
 
 def _edges(triangles: Iterable[tuple[int, int, int]]) -> list[tuple[int, int]]:
@@ -327,20 +364,20 @@ def _fma_square(x: float, acc: float) -> float:
     return fsum((hi * hi, 2 * hi * lo, lo * lo, acc))
 
 
-@dataclass(frozen=True, eq=False)
 class HullLayer:
     """One shell of a cloud as index tuples on its rows; counts, the edge
     spread, ``points`` (the members in row order) and ``faces`` (triangles
     that number them) are derived when read."""
 
-    classification: str
-    cloud: Sequence[FloatPoint]
-    members: tuple[int, ...]  # rows of ``cloud``, sorted ascending here
-    triangles: tuple[tuple[int, int, int], ...]  # rows of ``cloud``
-    ends: tuple[tuple[int, int], ...]  # rows of ``cloud``, one edge each
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
+    def __init__(self, classification: str, cloud: Sequence[FloatPoint], members: Iterable[int],
+                 triangles: tuple[tuple[int, int, int], ...],
+                 ends: tuple[tuple[int, int], ...]) -> None:
+        # members: rows of ``cloud``, sorted ascending here; triangles and
+        # ends (one per edge): rows of ``cloud``
+        vars(self).update(classification=classification, cloud=cloud,
+                          members=tuple(sorted(members)), triangles=triangles, ends=ends)
 
     @property
     def vertex_count(self) -> int:
@@ -374,6 +411,34 @@ class HullLayer:
         return tuple(sorted((at[a], at[b], at[c]) for a, b, c in self.triangles))
 
 
+class _MappedLayer(HullLayer):
+    """A peeled layer carried onto another cloud: its row i is row ``at[i]``
+    here, and an odd map, a reflection, reverses the triangles.  Its index
+    tuples are mapped when read."""
+
+    def __init__(self, peeled: HullLayer, cloud: Sequence[FloatPoint], at: Sequence[int],
+                 odd: bool) -> None:
+        vars(self).update(classification=peeled.classification, cloud=cloud, peeled=peeled,
+                          at=at, odd=odd)
+
+    vertex_count = property(lambda self: self.peeled.vertex_count)
+    edge_count = property(lambda self: self.peeled.edge_count)
+
+    @cached_property
+    def members(self) -> tuple[int, ...]:
+        return tuple(sorted(self.at[i] for i in self.peeled.members))
+
+    @cached_property
+    def triangles(self) -> tuple[tuple[int, int, int], ...]:
+        at = self.at
+        return tuple((at[c], at[b], at[a]) if self.odd else (at[a], at[b], at[c])
+                     for a, b, c in self.peeled.triangles)
+
+    @cached_property
+    def ends(self) -> tuple[tuple[int, int], ...]:
+        return tuple((self.at[a], self.at[b]) for a, b in self.peeled.ends)
+
+
 def peel_hulls(pts: Sequence[FloatPoint], exact: Sequence[Sequence[Pair]]) -> list[HullLayer]:
     """Strip convex hull vertex shells off ``pts`` until the rest degenerates.
 
@@ -385,6 +450,8 @@ def peel_hulls(pts: Sequence[FloatPoint], exact: Sequence[Sequence[Pair]]) -> li
     # in exact lexicographic order every rest starts at a hull vertex; a
     # projection's rows are in that order already
     order = sorted(range(len(z)), key=cmp_to_key(lambda i, j: _lex(z[i], z[j])))
+    # each layer, and so each rest, is mapped onto itself by the cloud's group
+    group = _symmetries(z)
     layers = []
     while order:
         rest = [z[i] for i in order]
@@ -393,7 +460,9 @@ def peel_hulls(pts: Sequence[FloatPoint], exact: Sequence[Sequence[Pair]]) -> li
             label = ("point", "collinear", "coplanar")[rank]
             layers.append(HullLayer(f"{label}(v={len(order)})" if rank else label, pts, order, (), ()))
             break
-        tri = _hull(rest)
+        at = {i: k for k, i in enumerate(order)}  # row i of the cloud is row at[i] of the rest
+        tri = _hull(rest, [(list(map(at.__getitem__, map(g.__getitem__, order))), odd)
+                           for g, odd in group])
         vertices = {i for t in tri for i in t}
         tri = tuple((order[a], order[b], order[c]) for a, b, c in tri)
         ends = tuple(_edges(tri))
@@ -403,8 +472,7 @@ def peel_hulls(pts: Sequence[FloatPoint], exact: Sequence[Sequence[Pair]]) -> li
     return layers
 
 
-@dataclass(frozen=True)
-class HullReport:
+class HullReport(NamedTuple):
     dims: tuple[int, int, int]
     point_count: int
     layers: tuple[HullLayer, ...]
@@ -457,14 +525,11 @@ def tally_all(vset: VertexSet) -> list[HullReport]:
             layers, moved, odd = found
             row = {key: i for i, key in enumerate(keys)}
             at = [row[key] for key in moved]  # peeled point i is point at[i] here
-            layers = [HullLayer(l.classification, pts, [at[i] for i in l.members],
-                                tuple((at[c], at[b], at[a]) if odd else (at[a], at[b], at[c])
-                                      for a, b, c in l.triangles),
-                                tuple((at[a], at[b]) for a, b in l.ends)) for l in layers]
+            layers = [_MappedLayer(layer, pts, at, odd) for layer in layers]
         else:
             layers = peel_hulls(pts, vset.index.exact(keys))
             for perm in permutations(range(3)):
-                moved = [tuple(key[k] for k in perm) for key in keys]
+                moved = list(map(itemgetter(*perm), keys))
                 # an odd column order is a reflection: it turns triangles inside out
                 odd = (perm[1] - perm[0]) * (perm[2] - perm[0]) * (perm[2] - perm[1]) < 0
                 peeled.setdefault(frozenset(moved), (layers, moved, odd))

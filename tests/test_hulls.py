@@ -3,8 +3,9 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import sqrt
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -315,8 +316,8 @@ class TestPeelBookkeeping:
         wrap = hulls._hull
         seen, peeled = [], []
 
-        def recorded(z):
-            peeled.append((z, wrap(z)))
+        def recorded(z, *args):
+            peeled.append((z, wrap(z, *args)))
             return peeled[-1][1]
 
         def square(p, q):
@@ -437,8 +438,10 @@ class TestTallyRelabels:
             want = analyze(vset, dims)
             for g, w in zip(got.layers, want.layers, strict=True):
                 # a layer keeps index tuples on its report's one cloud, no
-                # per-point floats, and computes its edge spread only when read
-                assert set(vars(g)) == {"classification", "cloud", "members", "triangles", "ends"}, dims
+                # per-point floats, and computes its edge spread only when read;
+                # a mapped layer keeps the peeled layer, its row map and parity
+                assert set(vars(g)) in ({"classification", "cloud", "members", "triangles", "ends"},
+                                        {"classification", "cloud", "peeled", "at", "odd"}), dims
                 assert g.cloud is got.layers[0].cloud, dims
                 assert all(type(i) is int for i in g.members), dims
                 assert "edge_spread" not in vars(g), dims
@@ -464,6 +467,93 @@ class TestTallyRelabels:
         tally_all(vsets[basis])
         # edges are computed once per wrapped hull, never again for a mapped layer
         assert counts == {"hull": calls, "peel": clouds, "edges": calls, "project": 56}
+
+
+# signed permutations of three coordinates: coordinate k of the image is
+# sign k times coordinate perm[k]
+SIGNED_PERMUTATIONS = [(perm, signs) for perm in permutations(range(3))
+                       for signs in product((1, -1), repeat=3)]
+
+
+def signed_image(g, point):
+    """A signed permutation applied to a point of three values or Z[phi] pairs."""
+    perm, signs = g
+    return tuple(tuple(s * x for x in point[k]) if isinstance(point[k], tuple) else s * point[k]
+                 for k, s in zip(perm, signs))
+
+
+def layer_shapes(layers):
+    return [(l.classification, l.members, l.triangles, l.ends) for l in layers]
+
+
+class TestOrbitWrap:
+    """Each peeled cloud wraps one open edge per orbit of its group, the
+    signed coordinate permutations that map its exact rows onto themselves."""
+
+    PEELED = [("U", (1, 2, 3), 8), ("U", (1, 2, 7), 8), ("U", (1, 2, 8), 8), ("U", (2, 3, 4), 24),
+              ("U", (2, 3, 6), 8), ("U", (2, 3, 7), 8), ("cmU", (1, 2, 3), 48), ("cmU", (1, 2, 7), 8)]
+
+    @pytest.mark.parametrize("basis, dims, order", PEELED,
+                             ids=[f"{b}-{''.join(map(str, d))}" for b, d, _ in PEELED])
+    def test_group_orders_of_the_peeled_clouds(self, vsets, basis, dims, order):
+        # against a brute force over all 48 signed permutations of the
+        # GoldenExt points, which shares no code with the rows
+        vset = vsets[basis]
+        proj = project(vset, dims)
+        points = set(exact_points(vset, proj))
+        brute = sum({signed_image(g, p) for p in points} == points for g in SIGNED_PERMUTATIONS)
+        group = hulls._symmetries(hulls._rows(vset.index.exact(proj.keys)))
+        assert len(group) == brute == order
+        n = len(points)
+        assert (list(range(n)), False) in group
+        assert all(sorted(g) == list(range(n)) for g, _ in group)
+        assert sum(odd for _, odd in group) == order // 2
+
+    @pytest.mark.parametrize("basis, peeled, wraps, plain", [
+        ("U", [8, 8, 8, 24, 8, 8], 165, 877), ("cmU", [48, 8], 93, 400)], ids=["U", "cmU"])
+    def test_wraps_per_tally(self, vsets, basis, peeled, wraps, plain, monkeypatch):
+        # the peeled clouds have the orders pinned above, and the plain wrap,
+        # every open edge folded, gives the same reports
+        calls, orders = Counter(), []
+        wrap, symmetries = hulls._wrap, hulls._symmetries
+
+        def counted(*args):
+            calls["wrap"] += 1
+            return wrap(*args)
+
+        def recorded(z):
+            group = symmetries(z)
+            orders.append(len(group))
+            return group
+
+        monkeypatch.setattr(hulls, "_wrap", counted)
+        monkeypatch.setattr(hulls, "_symmetries", recorded)
+        reports = tally_all(vsets[basis])
+        assert calls["wrap"] <= wraps
+        assert orders == peeled
+        calls.clear()
+        monkeypatch.setattr(hulls, "_symmetries", lambda z: ())
+        direct = tally_all(vsets[basis])
+        assert calls["wrap"] == plain
+        assert [layer_shapes(r.layers) for r in reports] == [layer_shapes(r.layers) for r in direct]
+
+    def test_stabilised_triangles_are_added_once(self):
+        # each face of the octahedron is fixed by 6 of its 48 symmetries
+        floats, exact = octahedron()
+        assert len(hulls._symmetries(hulls._rows(exact))) == 48
+        layer = peel_hulls(floats, exact)[0]
+        assert len(layer.triangles) == 8
+        directed = Counter(e for a, b, c in layer.triangles for e in ((a, b), (b, c), (c, a)))
+        assert set(directed.values()) == {1} and len(directed) == 24
+
+    def test_translated_cloud_has_a_trivial_group(self, vset):
+        # the group fixes the origin, so a cloud moved by (1, 2, 4), which no
+        # signed permutation but the identity fixes, gets the plain wrap
+        proj = project(vset, (2, 3, 4))
+        exact = vset.index.exact(proj.keys)
+        moved = [tuple((a + t, b) for (a, b), t in zip(row, (1, 2, 4))) for row in exact]
+        assert len(hulls._symmetries(hulls._rows(exact))) == 24
+        assert hulls._symmetries(hulls._rows(moved)) == [(list(range(len(exact))), False)]
 
 
 def phi_times(x):
@@ -664,6 +754,52 @@ class TestDegenerateClouds:
             assert ours == faces(z, layer.members, theirs)
             if all(len(f) == 3 for f in ours):  # simplicial: the very same triangles
                 assert {frozenset(t) for t in layer.triangles} == {frozenset(t) for t in theirs}
+            rest = sorted(set(rest) - set(layer.members))
+        assert rest == []
+
+
+@st.composite
+def symmetric_clouds(draw):
+    """Small Z[phi] clouds closed under the subgroup that one to three random
+    signed permutations generate, with those generators."""
+    entry = st.tuples(st.integers(-3, 3), st.integers(-2, 2))
+    seeds = draw(st.lists(st.tuples(entry, entry, entry), min_size=2, max_size=4))
+    generators = draw(st.lists(st.sampled_from(SIGNED_PERMUTATIONS), min_size=1, max_size=3))
+    points, todo = set(seeds), list(seeds)
+    while todo:
+        point = todo.pop()
+        for image in (signed_image(g, point) for g in generators):
+            if image not in points:
+                points.add(image)
+                todo.append(image)
+    return sorted(points), generators
+
+
+class TestSymmetricClouds:
+    """The orbit wrap against the plain wrap, and qhull, a test-only oracle,
+    on clouds with random symmetry groups."""
+
+    @given(symmetric_clouds())
+    @settings(max_examples=80, deadline=None)
+    def test_orbit_wrap_peels_like_the_plain_wrap(self, drawn):
+        spatial = pytest.importorskip("scipy.spatial")
+        exact, generators = drawn
+        floats = floats_of(exact)
+        group = [g for g, _ in hulls._symmetries(hulls._rows(exact))]
+        row = {p: i for i, p in enumerate(exact)}
+        assert all([row[signed_image(g, p)] for p in exact] in group for g in generators)
+        layers = peel_hulls(floats, exact)
+        with mock.patch.object(hulls, "_symmetries", lambda z: ()):  # the plain wrap
+            assert layer_shapes(layers) == layer_shapes(peel_hulls(floats, exact))
+        rest = list(range(len(exact)))
+        for layer in layers:
+            if not layer.edge_count:  # the flat rest ends the peel
+                assert list(layer.members) == rest
+                rest = []
+                break
+            assert_outward(exact, layer)
+            qhull = spatial.ConvexHull([floats[r] for r in rest])
+            assert list(layer.members) == sorted(rest[v] for v in qhull.vertices)
             rest = sorted(set(rest) - set(layer.members))
         assert rest == []
 
