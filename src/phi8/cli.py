@@ -192,7 +192,7 @@ def cmd_project(args: argparse.Namespace) -> int:
         for rep in reports:
             tag = "".join(str(d) for d in rep.dims)
             for k, layer in enumerate(rep.layers):
-                if not len(layer.triangles):
+                if not layer.faces:
                     continue
                 name = f"dims{tag}_layer{k}"
                 (base / f"{name}.obj").write_text(hulls.emit_layer_obj(layer, name))

@@ -10,38 +10,37 @@ for all eight coordinates; a projection sorts its distinct value-id
 triples and reads its floats and exact Z[phi] pairs from that table.
 All of it is plain Python ints, tuples and dicts.  Every test that
 shapes a layer is exact on the pairs: the affine rank that ends a peel,
-each hull's triangles and so its members, and edge equality (one
-squared length for every edge).  The hull is gift wrapped (Chand &
-Kapur 1970): one fold over the cloud per open edge, in which a point
-takes over only if it lies strictly in front of the plane so far.  The
-points left on the final plane are settled once, after the fold: the
-next corner of the face first, then the farthest.  Triangles face
-outward, and a face with more than three corners (none in the vertex
-sets here) is marched exactly and fanned from its least row.  Floats
-decide nothing; they give only the OBJ vertices and the printed edge
-spread.
+each hull's faces and so its members, and edge equality (one squared
+length for every edge).  The hull is gift wrapped (Chand & Kapur 1970):
+one fold over the cloud per open edge, in which a point takes over only
+if it lies strictly in front of the plane so far.  The points left on
+the final plane are settled once, after the fold: the next corner of
+the face first, then the farthest.  A face with more than three corners
+is marched exactly, corner by corner.  Every face is listed outward.
+Floats decide nothing; they give only the OBJ vertices and the printed
+edge spread.
 
 A peel wraps one open edge per orbit (Bremner, Dutour Sikirić &
 Schürmann 2009).  A cloud's group, the signed coordinate permutations
 that map its exact rows onto themselves, is found once and maps every
-layer onto itself; a moved cloud has only the identity.  A true
-triangle that a wrap finds brings its images, a reflection's reversed
-to face outward.  Polygon faces are not mapped: a fan from the least
-row does not commute with the group.  A hull's triangles are sorted.
+layer onto itself; a moved cloud has only the identity.  A face that a
+wrap finds, triangle or polygon, brings its images, a reflection's
+reversed to face outward.  A hull's faces are sorted, each from its
+least row.
 
 ``peel_hulls`` is the one peel, and both ``analyze`` (``project
 --dims``) and ``tally_all`` (``project --all``) call it.  A
 ``HullLayer`` holds only index tuples on its cloud: its member rows,
-its triangles and its edge endpoints, with its label; counts, the edge
-spread, points and faces are derived when read.  ``tally_all`` peels
-one triple per class, triples whose point sets are equal up to the
-order of the columns, and maps those layers onto the others.  A column
-order is an isometry, and every hull here is simplicial with no two
-coplanar facets, so layers, edges and labels carry over, and each
-spread, computed on the triple's own floats, has the bits of a direct
-peel; an odd column order is a reflection, so the mapped triangles are
-reversed to face outward.  A mapped layer keeps the peeled layer, the
-row map and its parity, and builds its index tuples when read.
+its faces and its edge endpoints, with its label; counts, the edge
+spread and points are derived when read.  ``tally_all`` peels one
+triple per class, triples whose point sets are equal up to the order
+of the columns, and maps those layers onto the others.  A column order
+is an isometry, and faces and edges are the polytope's own, so layers,
+faces, edges and labels carry over, and each spread, computed on the
+triple's own floats, has the bits of a direct peel; an odd column order
+is a reflection, so the mapped faces are reversed to face outward.  A
+mapped layer keeps the peeled layer, the row map and its parity, and
+builds its index tuples when read.
 """
 from __future__ import annotations
 
@@ -262,21 +261,17 @@ def _wrap(z: Sequence[Row], o: int, t: Row, d: int) -> tuple[int, Row, list[int]
     return _corner(z, o, n, plane), n, plane
 
 
-def _face(z: Sequence[Row], a: int, b: int, n: Row) -> list[tuple[int, int, int]]:
-    """The outward triangles of the hull face with normal n on the edge
-    a -> b: its polygon, marched exactly from that edge, as a fan from its
-    least row."""
+def _face(z: Sequence[Row], a: int, b: int, n: Row) -> list[int]:
+    """The corners of the hull face with normal n on the edge a -> b, outward
+    from a, marched exactly from that edge."""
     plane = [i for i, p in enumerate(z) if not any(_dot(_sub(p, z[a]), n))]
     ring = [a, b]
     while True:
         t = _sub(z[ring[-1]], z[ring[-2]])
         nxt = _corner(z, ring[-1], n, [e for e in plane if any(_cross(t, _sub(z[e], z[ring[-1]])))])
         if nxt == ring[0]:
-            break
+            return ring
         ring.append(nxt)
-    k = ring.index(min(ring))
-    ring = ring[k:] + ring[:k]
-    return [(ring[0], x, y) for x, y in zip(ring[1:-1], ring[2:])]
 
 
 def _symmetries(z: Sequence[Row]) -> list[Symmetry]:
@@ -297,11 +292,11 @@ def _symmetries(z: Sequence[Row]) -> list[Symmetry]:
     return group
 
 
-def _hull(z: Sequence[Row], group: Iterable[Symmetry]) -> list[tuple[int, int, int]]:
-    """The outward triangles of the hull of a solid cloud whose first row is
-    its lexicographic minimum, sorted, each from its least row, by gift
-    wrapping one open edge per orbit: ``group`` maps the rows onto
-    themselves, and each triangle a wrap finds brings its images."""
+def _hull(z: Sequence[Row], group: Iterable[Symmetry]) -> list[tuple[int, ...]]:
+    """The outward faces of the hull of a solid cloud whose first row is its
+    lexicographic minimum, sorted, each from its least row, by gift wrapping
+    one open edge per orbit: ``group`` maps the rows onto themselves, and
+    each face a wrap finds brings its images."""
     # every other point lies beside or above the vertical line through row
     # 0, so wrapping that line as if it were an edge ending at row 0 gives
     # a hull edge 0 -> q
@@ -309,33 +304,33 @@ def _hull(z: Sequence[Row], group: Iterable[Symmetry]) -> list[tuple[int, int, i
     q = _wrap(z, 0, (0, 0, 0, 0, -1, 0), start)[0]
     t = _sub(z[q], z[0])
     todo = [(0, q, next(i for i, p in enumerate(z) if any(_cross(t, _sub(p, z[q])))))]
-    third: dict[tuple[int, int], int] = {}  # (u, v) -> w for each triangle (u, v, w)
-    triangles = []
+    closed: set[tuple[int, int]] = set()  # the directed edges (u, v) of the faces found
+    faces = []
     while todo:
         a, b, d = todo.pop()  # wrap the face on the edge a -> b from d
-        if (a, b) in third:
+        if (a, b) in closed:
             continue
         d, n, plane = _wrap(z, b, _sub(z[b], z[a]), d)
         # a triangle, unless a point of its plane lies beyond its edge d -> a
         if any(_sign(_dot(_cross(_sub(z[a], z[d]), _sub(z[e], z[d])), n)) < 0 for e in plane):
-            face = _face(z, a, b, n)  # its fan does not commute with the group
+            face = _face(z, a, b, n)
         else:
-            # the triangle and its images; a reflection's image is reversed to face outward
-            face = [(a, b, d), *((g[a], g[d], g[b]) if odd else (g[a], g[b], g[d])
-                                 for g, odd in group)]
-        for tri in face:
-            if (tri[0], tri[1]) in third:  # an image found before, e.g. by a stabiliser
+            face = [a, b, d]
+        # the face and its images; a reflection's image is reversed to face outward
+        for f in [face, *([g[c] for c in (face[::-1] if odd else face)] for g, odd in group)]:
+            if (f[0], f[1]) in closed:  # an image found before, e.g. by a stabiliser
                 continue
-            triangles.append((tri * 2)[tri.index(min(tri)):][:3])  # least corner first
-            for u, v, w in (tri, tri[1:] + tri[:1], tri[2:] + tri[:2]):
-                third[u, v] = w
+            k = f.index(min(f))
+            faces.append(tuple(f[k:] + f[:k]))  # least corner first
+            for u, v, w in zip(f, f[1:] + f[:1], f[2:] + f[:2]):
+                closed.add((u, v))
                 todo.append((v, u, w))
-    return sorted(triangles)
+    return sorted(faces)
 
 
-def _edges(triangles: Iterable[tuple[int, int, int]]) -> list[tuple[int, int]]:
-    """The distinct edges (a, b), a < b, of triangles, sorted."""
-    return sorted({(min(u, v), max(u, v)) for t in triangles for u, v in zip(t, t[1:] + t[:1])})
+def _edges(faces: Iterable[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """The distinct boundary edges (a, b), a < b, of faces, sorted."""
+    return sorted({(min(u, v), max(u, v)) for f in faces for u, v in zip(f, f[1:] + f[:1])})
 
 
 def _classify(z: Sequence[Row], nv: int, ends: Sequence[tuple[int, int]]) -> str:
@@ -365,19 +360,19 @@ def _fma_square(x: float, acc: float) -> float:
 
 
 class HullLayer:
-    """One shell of a cloud as index tuples on its rows; counts, the edge
-    spread, ``points`` (the members in row order) and ``faces`` (triangles
-    that number them) are derived when read."""
+    """One shell of a cloud as index tuples on its rows: its members, its
+    faces, polygons of three or more corners, and its edge ends; counts,
+    the edge spread and ``points`` (the members in row order) are derived
+    when read."""
 
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, classification: str, cloud: Sequence[FloatPoint], members: Iterable[int],
-                 triangles: tuple[tuple[int, int, int], ...],
-                 ends: tuple[tuple[int, int], ...]) -> None:
-        # members: rows of ``cloud``, sorted ascending here; triangles and
-        # ends (one per edge): rows of ``cloud``
+                 faces: tuple[tuple[int, ...], ...], ends: tuple[tuple[int, int], ...]) -> None:
+        # members: rows of ``cloud``, sorted ascending here; faces (three or
+        # more corners, outward) and ends (one per edge): rows of ``cloud``
         vars(self).update(classification=classification, cloud=cloud,
-                          members=tuple(sorted(members)), triangles=triangles, ends=ends)
+                          members=tuple(sorted(members)), faces=faces, ends=ends)
 
     @property
     def vertex_count(self) -> int:
@@ -405,15 +400,10 @@ class HullLayer:
     def points(self) -> tuple[FloatPoint, ...]:
         return tuple(self.cloud[i] for i in self.members)
 
-    @property
-    def faces(self) -> tuple[tuple[int, int, int], ...]:
-        at = {m: k for k, m in enumerate(self.members)}
-        return tuple(sorted((at[a], at[b], at[c]) for a, b, c in self.triangles))
-
 
 class _MappedLayer(HullLayer):
     """A peeled layer carried onto another cloud: its row i is row ``at[i]``
-    here, and an odd map, a reflection, reverses the triangles.  Its index
+    here, and an odd map, a reflection, reverses the faces.  Its index
     tuples are mapped when read."""
 
     def __init__(self, peeled: HullLayer, cloud: Sequence[FloatPoint], at: Sequence[int],
@@ -429,10 +419,9 @@ class _MappedLayer(HullLayer):
         return tuple(sorted(self.at[i] for i in self.peeled.members))
 
     @cached_property
-    def triangles(self) -> tuple[tuple[int, int, int], ...]:
+    def faces(self) -> tuple[tuple[int, ...], ...]:
         at = self.at
-        return tuple((at[c], at[b], at[a]) if self.odd else (at[a], at[b], at[c])
-                     for a, b, c in self.peeled.triangles)
+        return tuple(tuple(at[i] for i in (f[::-1] if self.odd else f)) for f in self.peeled.faces)
 
     @cached_property
     def ends(self) -> tuple[tuple[int, int], ...]:
@@ -443,7 +432,7 @@ def peel_hulls(pts: Sequence[FloatPoint], exact: Sequence[Sequence[Pair]]) -> li
     """Strip convex hull vertex shells off ``pts`` until the rest degenerates.
 
     ``exact`` holds the same points as rows of three Z[phi] pairs and
-    decides every layer: its members, its triangles, flatness and edge
+    decides every layer: its members, its faces, flatness and edge
     equality.
     """
     z = _rows(exact)
@@ -461,13 +450,13 @@ def peel_hulls(pts: Sequence[FloatPoint], exact: Sequence[Sequence[Pair]]) -> li
             layers.append(HullLayer(f"{label}(v={len(order)})" if rank else label, pts, order, (), ()))
             break
         at = {i: k for k, i in enumerate(order)}  # row i of the cloud is row at[i] of the rest
-        tri = _hull(rest, [(list(map(at.__getitem__, map(g.__getitem__, order))), odd)
-                           for g, odd in group])
-        vertices = {i for t in tri for i in t}
-        tri = tuple((order[a], order[b], order[c]) for a, b, c in tri)
-        ends = tuple(_edges(tri))
+        faces = _hull(rest, [(list(map(at.__getitem__, map(g.__getitem__, order))), odd)
+                             for g, odd in group])
+        vertices = {i for f in faces for i in f}
+        faces = tuple(tuple(order[i] for i in f) for f in faces)
+        ends = tuple(_edges(faces))
         layers.append(HullLayer(_classify(z, len(vertices), ends), pts,
-                                [order[i] for i in vertices], tri, ends))
+                                [order[i] for i in vertices], faces, ends))
         order = [i for k, i in enumerate(order) if k not in vertices]
     return layers
 
@@ -530,7 +519,7 @@ def tally_all(vset: VertexSet) -> list[HullReport]:
             layers = peel_hulls(pts, vset.index.exact(keys))
             for perm in permutations(range(3)):
                 moved = list(map(itemgetter(*perm), keys))
-                # an odd column order is a reflection: it turns triangles inside out
+                # an odd column order is a reflection: it turns faces inside out
                 odd = (perm[1] - perm[0]) * (perm[2] - perm[0]) * (perm[2] - perm[1]) < 0
                 peeled.setdefault(frozenset(moved), (layers, moved, odd))
         reports.append(HullReport(proj.dims, len(keys), tuple(layers)))
@@ -545,10 +534,12 @@ def group_by_signature(reports: Iterable[HullReport]) -> dict[str, list[tuple[in
 
 
 def emit_layer_obj(layer: HullLayer, name: str) -> str:
-    """Wavefront OBJ text for one shell; faces are its outward triangles."""
+    """Wavefront OBJ text for one shell: its members, then one outward
+    face per ``f`` line, numbered from 1 in member order."""
     lines = [f"o {name}"]
     for p in layer.points:
         lines.append("v {:.12f} {:.12f} {:.12f}".format(*p))
-    for tri in layer.faces:
-        lines.append("f {} {} {}".format(tri[0] + 1, tri[1] + 1, tri[2] + 1))
+    at = {m: k for k, m in enumerate(layer.members, 1)}
+    for face in sorted(tuple(at[i] for i in f) for f in layer.faces):
+        lines.append("f " + " ".join(map(str, face)))
     return "\n".join(lines) + "\n"

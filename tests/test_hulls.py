@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import floats_of, random_exact_image
 from phi8 import hulls
+from phi8.constants import build_U
 from phi8.field import SQRT_PHI, GoldenExt, GoldenScalar
 from phi8.hulls import (
     HullReport,
@@ -26,6 +27,7 @@ from phi8.hulls import (
     project,
     tally_all,
 )
+from phi8.lattice import gen_e8_roots
 
 
 def cloud(triples, scale=1):
@@ -56,6 +58,12 @@ def cube_with_center():
     return cloud(integers([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)] + [[0, 0, 0]]))
 
 
+def lifted_grid():
+    """A 3x3 grid in the plane z = 0 with its centre lifted by 10**-30."""
+    n = 10 ** 30
+    return cloud([[(x * n, 0), (y * n, 0), (int(x == y == 1), 0)] for x in range(3) for y in range(3)], n)
+
+
 def stretched(exact, numerators, denominator):
     """Scale coordinate k of an exact cloud by numerators[k] / denominator."""
     exact = [tuple((a * m, b * m) for (a, b), m in zip(row, numerators)) for row in exact]
@@ -72,14 +80,91 @@ def fused_length(p, q):
 
 
 def assert_outward(exact, layer):
-    """No point of the layer lies in front of any of its triangles, exactly:
-    each triangle (i, j, k) has the normal (j - i) x (k - i), over Z[phi]."""
+    """Every face of the layer is flat, and no point of the layer lies in
+    front of it, exactly: a face whose first corners are i, j, k has the
+    normal (j - i) x (k - i), over Z[phi]."""
     z = hulls._rows(exact)
-    for i, j, k in layer.triangles:
+    for face in layer.faces:
+        i, j, k = face[:3]
         normal = hulls._cross(hulls._sub(z[j], z[i]), hulls._sub(z[k], z[i]))
-        signs = [hulls._sign(hulls._dot(hulls._sub(z[m], z[i]), normal)) for m in layer.members]
+        side = lambda m: hulls._sign(hulls._dot(hulls._sub(z[m], z[i]), normal))
+        assert {side(m) for m in face} == {0}
+        signs = [side(m) for m in layer.members]
         assert max(signs) <= 0
-        assert min(signs) < 0  # no triangle is degenerate
+        assert min(signs) < 0  # no face is degenerate
+
+
+def directed_edges(layer):
+    """How often each directed edge (u, v) runs along a face of the layer."""
+    return Counter(e for f in layer.faces for e in zip(f, f[1:] + f[:1]))
+
+
+def ext_sub(x, y):
+    return tuple(s - t for s, t in zip(x, y))
+
+
+def ext_dot(x, y):
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def ext_cross(x, y):
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+
+
+def exact_hull(exact):
+    """The hull of a solid cloud of rows of Z[phi] pairs, by brute force on
+    GoldenExt values, sharing no code with the peel.  Every plane through
+    three affinely independent points with no point in front holds a face,
+    the points on it; two faces that share more than one point meet in an
+    edge, whose ends are the extreme shared points along it.  Returns
+    {face corners: outward normal}, the members and the edges (a, b), a < b."""
+    p = [tuple(GoldenScalar(a, b) for a, b in row) for row in exact]
+    planes = {}  # the points on a face -> its outward normal
+    for i, j, k in combinations(range(len(p)), 3):
+        if any({i, j, k} <= face for face in planes):
+            continue
+        n = ext_cross(ext_sub(p[j], p[i]), ext_sub(p[k], p[i]))
+        if not any(n):
+            continue
+        signs, on = set(), set()
+        for m, q in enumerate(p):
+            sign = ext_dot(ext_sub(q, p[i]), n).sign()
+            if sign:
+                signs.add(sign)
+            else:
+                on.add(m)
+            if len(signs) == 2:
+                break
+        else:
+            planes[frozenset(on)] = n if signs == {-1} else tuple(-x for x in n)
+    edges = set()
+    for f, g in combinations(planes, 2):
+        shared = sorted(f & g)
+        if len(shared) > 1:
+            a, b = shared[:2]
+            along = lambda m: ext_dot(ext_sub(p[m], p[a]), ext_sub(p[b], p[a]))
+            edges.add(tuple(sorted((min(shared, key=along), max(shared, key=along)))))
+    members = {m for e in edges for m in e}
+    return {f & members: n for f, n in planes.items()}, members, edges
+
+
+def assert_exact_faces(exact, layer, rest):
+    """A layer peeled from the rows ``rest`` of ``exact`` has the faces,
+    members and edges of ``exact_hull``; each face is a cycle along its
+    edges that turns counter-clockwise seen from outside."""
+    faces, members, edges = exact_hull([exact[r] for r in rest])
+    normals = {frozenset(rest[m] for m in f): n for f, n in faces.items()}
+    assert list(layer.members) == sorted(rest[m] for m in members)
+    assert set(layer.ends) == {tuple(sorted((rest[a], rest[b]))) for a, b in edges}
+    assert len(layer.ends) == len(edges)
+    assert {frozenset(f) for f in layer.faces} == set(normals)
+    assert len(layer.faces) == len(normals)
+    p = {r: tuple(GoldenScalar(a, b) for a, b in exact[r]) for r in rest}
+    for f in layer.faces:
+        assert len(set(f)) == len(f)
+        assert all(tuple(sorted(e)) in layer.ends for e in zip(f, f[1:] + f[:1]))
+        turn = ext_cross(ext_sub(p[f[1]], p[f[0]]), ext_sub(p[f[2]], p[f[0]]))
+        assert ext_dot(turn, normals[frozenset(f)]).sign() > 0
 
 
 class TestFixtures:
@@ -111,10 +196,12 @@ class TestFixtures:
         assert 0 < layer.edge_spread < 1e-7
 
     def test_cube_with_center(self):
-        # triangulated cube facets carry diagonal edges, so it lands in
-        # the catch-all bucket; the lone interior point remains
+        # the cube's faces are its six squares, with no diagonal edge; the
+        # lone interior point remains
         layers = peel_hulls(*cube_with_center())
         assert [l.classification for l in layers] == ["other(v=8)", "point"]
+        assert layers[0].edge_count == 12
+        assert sorted(map(len, layers[0].faces)) == [4] * 6
 
     def test_collinear(self):
         layers = peel_hulls(*cloud(integers([[t, 2 * t, -t] for t in range(5)])))
@@ -140,7 +227,7 @@ class TestFixtures:
     def test_floats_only_propose(self, shape):
         # floats neither propose nor decide: floats that show nothing (all
         # zero) or lie (a random cloud) leave every layer's members and
-        # oriented triangles as they are
+        # oriented faces as they are
         pts, exact = shape()
         want = peel_hulls(pts, exact)
         rng = random.Random(7)
@@ -154,18 +241,26 @@ class TestFixtures:
         # in floats, and the square base is marched as one face.  The hull is
         # a pyramid on the 4 corners; the 4 edge midpoints lie on its base
         # edges, so they are no vertices and form the next, flat layer
-        n = 10 ** 30
-        grid = [[(x * n, 0), (y * n, 0), (int(x == y == 1), 0)] for x in range(3) for y in range(3)]
-        pts, exact = cloud(grid, n)
+        pts, exact = lifted_grid()
         assert hulls._affine_rank(hulls._rows(exact)) == 3
         layers = peel_hulls(pts, exact)
         assert [l.classification for l in layers] == ["other(v=5)", "coplanar(v=4)"]
         assert [l.members for l in layers] == [(0, 2, 4, 6, 8), (1, 3, 5, 7)]
-        # 4 sides and the base square as 2 triangles, fanned from its least
-        # row: its diagonal is 0-8, not 2-6
-        assert (layers[0].edge_count, len(layers[0].faces)) == (9, 6)
-        assert (0, 8) in layers[0].ends and (2, 6) not in layers[0].ends
+        # 4 triangular sides and the base square as one face, with neither
+        # diagonal 0-8 nor 2-6 as an edge
+        assert (layers[0].edge_count, len(layers[0].faces)) == (8, 5)
+        assert sorted(map(len, layers[0].faces)) == [3, 3, 3, 3, 4]
+        assert (0, 8) not in layers[0].ends and (2, 6) not in layers[0].ends
         assert_outward(exact, layers[0])
+
+
+class TestFaceOracle:
+    """The exact peel against ``exact_hull``, a brute force on GoldenExt values."""
+
+    @pytest.mark.parametrize("shape", [cube_with_center, lifted_grid])
+    def test_faces_members_and_edges(self, shape):
+        pts, exact = shape()
+        assert_exact_faces(exact, peel_hulls(pts, exact)[0], list(range(len(exact))))
 
 
 class TestRotationInvariance:
@@ -211,9 +306,16 @@ class TestVertexSet:
         assert len(build_vertices(basis=basis).points) == 240
 
 
+def e8_through_U():
+    """The 240 roots of ``gen_e8_roots()``, each times the rows of U."""
+    U = build_U().rows
+    return VertexSet(120, tuple(tuple(sum(r[i] * U[i][k] for i in range(8)) for k in range(8))
+                                for r in gen_e8_roots()))
+
+
 @pytest.fixture(scope="module")
 def vsets(vset):
-    return {"U": vset, "cmU": build_vertices(basis="cmU")}
+    return {"U": vset, "cmU": build_vertices(basis="cmU"), "E8": e8_through_U()}
 
 
 def exact_points(vset, proj):
@@ -334,6 +436,7 @@ class TestPeelBookkeeping:
             assert len(layers) - len(peeled) in (0, 1), dims
             for layer, (z, tri) in zip(layers, peeled):
                 assert z == hulls._rows(vsets[basis].index.exact(proj.keys[r] for r in rest)), dims
+                assert all(len(t) == 3 for t in tri), dims  # every face here is a triangle
                 points = [proj.float_points[r] for r in rest]
                 edges = sorted({e for t in tri for e in combinations(sorted(t), 2)})
                 assert hulls._edges(tri) == edges
@@ -359,7 +462,7 @@ class TestPeelBookkeeping:
     @pytest.mark.parametrize("basis", ["U", "cmU"])
     def test_matches_qhull(self, vsets, basis):
         # qhull is a test-only oracle: on every projection it peels the same
-        # layers, with the same members and the same triangles as sets
+        # layers, with the same members and the same faces, all triangles, as sets
         spatial = pytest.importorskip("scipy.spatial")
         for dims in all_dim_triples():
             proj = project(vsets[basis], dims)
@@ -368,14 +471,14 @@ class TestPeelBookkeeping:
             for layer in layers[:-1] if layers[-1].edge_count == 0 else layers:
                 qhull = spatial.ConvexHull([proj.float_points[r] for r in rest])
                 assert list(layer.members) == sorted(rest[v] for v in qhull.vertices), dims
-                assert sorted(map(sorted, layer.triangles)) == \
+                assert sorted(map(sorted, layer.faces)) == \
                     sorted(sorted(rest[v] for v in t) for t in qhull.simplices), dims
                 rest = sorted(set(rest) - set(layer.members))
             assert rest == (list(layers[-1].members) if layers[-1].edge_count == 0 else []), dims
 
     def test_faces_point_outward(self, vsets):
-        # every triangle of --dims 2,3,4 and of every --all layer of both
-        # bases has no point of its layer in front, checked exactly
+        # every face of --dims 2,3,4 and of every --all layer of each vertex
+        # set has no point of its layer in front, checked exactly
         for basis, vset in vsets.items():
             for rep in [analyze(vset, (2, 3, 4)), *tally_all(vset)]:
                 exact = vset.index.exact(project(vset, rep.dims).keys)
@@ -416,31 +519,38 @@ class TestTally:
 class TestTallyRelabels:
     """``tally_all`` peels one triple per class; ``analyze`` is the oracle."""
 
-    @pytest.mark.parametrize("basis", ["U", "cmU"])
+    @pytest.mark.parametrize("basis", ["U", "cmU", "E8"])
     def test_equals_direct_peel(self, vsets, basis):
+        # the E8 roots through U have polygon faces (each v=20 layer is a
+        # regular dodecahedron); U and cmU have none
         vset = vsets[basis]
         direct = [analyze(vset, dims) for dims in all_dim_triples()]
         tallied = tally_all(vset)
         assert [r.to_dict() for r in tallied] == [r.to_dict() for r in direct]
+        cycle = lambda f: f[f.index(min(f)):] + f[:f.index(min(f))]
         for got, want in zip(tallied, direct):
-            for g, w in zip(got.layers, want.layers):
-                assert g.points == w.points, got.dims
-                # a relabelled triangle may list its vertices in another order
-                assert {frozenset(f) for f in g.faces} == {frozenset(f) for f in w.faces}, got.dims
-                assert len(g.faces) == len(w.faces), got.dims
+            for g, w in zip(got.layers, want.layers, strict=True):
+                assert (g.classification, g.members, g.points) == \
+                    (w.classification, w.members, w.points), got.dims
+                # a mapped face may start at another corner, but runs the same way round
+                assert sorted(map(cycle, g.faces)) == sorted(map(cycle, w.faces)), got.dims
+                assert {frozenset(e) for e in g.ends} == {frozenset(e) for e in w.ends}, got.dims
+                assert g.edge_spread.hex() == w.edge_spread.hex(), got.dims
+        polygons = sum(len(f) > 3 for r in direct for l in r.layers for f in l.faces)
+        assert (polygons > 0) == (basis == "E8")
 
     @pytest.mark.parametrize("basis", ["U", "cmU"])
     def test_layers_build_points_and_faces_on_read(self, vsets, basis):
         vset = vsets[basis]
-        # each face names the same three points, whatever their order
-        corners = lambda layer: sorted(sorted(layer.points[i] for i in f) for f in layer.faces)
+        # each face names the same points, whatever corner it starts at
+        corners = lambda layer: sorted(sorted(layer.cloud[i] for i in f) for f in layer.faces)
         for got, dims in zip(tally_all(vset), all_dim_triples()):
             want = analyze(vset, dims)
             for g, w in zip(got.layers, want.layers, strict=True):
                 # a layer keeps index tuples on its report's one cloud, no
                 # per-point floats, and computes its edge spread only when read;
                 # a mapped layer keeps the peeled layer, its row map and parity
-                assert set(vars(g)) in ({"classification", "cloud", "members", "triangles", "ends"},
+                assert set(vars(g)) in ({"classification", "cloud", "members", "faces", "ends"},
                                         {"classification", "cloud", "peeled", "at", "odd"}), dims
                 assert g.cloud is got.layers[0].cloud, dims
                 assert all(type(i) is int for i in g.members), dims
@@ -483,7 +593,7 @@ def signed_image(g, point):
 
 
 def layer_shapes(layers):
-    return [(l.classification, l.members, l.triangles, l.ends) for l in layers]
+    return [(l.classification, l.members, l.faces, l.ends) for l in layers]
 
 
 class TestOrbitWrap:
@@ -542,8 +652,8 @@ class TestOrbitWrap:
         floats, exact = octahedron()
         assert len(hulls._symmetries(hulls._rows(exact))) == 48
         layer = peel_hulls(floats, exact)[0]
-        assert len(layer.triangles) == 8
-        directed = Counter(e for a, b, c in layer.triangles for e in ((a, b), (b, c), (c, a)))
+        assert len(layer.faces) == 8
+        directed = directed_edges(layer)
         assert set(directed.values()) == {1} and len(directed) == 24
 
     def test_translated_cloud_has_a_trivial_group(self, vset):
@@ -638,15 +748,20 @@ class TestExactRank:
 
     def test_forty_digit_pairs_peel_like_small_ones(self, vset):
         # one integer type: scaled by a 40-digit factor and moved by a
-        # 40-digit offset, a projection peels to the same layers and the same
-        # oriented triangles
+        # different 40-digit offset in each coordinate, which leaves the big
+        # cloud no symmetry but the identity, a projection peels by the plain
+        # wrap to the same layers and the same oriented faces as the orbit wrap
         proj = project(vset, (2, 3, 4))
         small = vset.index.exact(proj.keys)
-        k, (u, v) = 10 ** 39 + 7, (3 * 10 ** 39 + 1, -10 ** 39)
-        big = [tuple((k * a + u, k * b + v) for a, b in row) for row in small]
+        k = 10 ** 39 + 7
+        offsets = [(3 * 10 ** 39 + 1, -10 ** 39), (3 * 10 ** 39 + 2, -10 ** 39 + 1),
+                   (3 * 10 ** 39 + 3, -10 ** 39 + 2)]
+        big = [tuple((k * a + u, k * b + v) for (a, b), (u, v) in zip(row, offsets)) for row in small]
         assert len(str(max(abs(x) for row in big for pair in row for x in pair))) == 40
-        shape = lambda layers: [(l.classification, l.members, l.triangles, l.ends) for l in layers]
-        assert shape(peel_hulls(proj.float_points, big)) == shape(peel_hulls(proj.float_points, small))
+        assert len(hulls._symmetries(hulls._rows(small))) == 24
+        assert len(hulls._symmetries(hulls._rows(big))) == 1
+        assert layer_shapes(peel_hulls(proj.float_points, big)) == \
+            layer_shapes(peel_hulls(proj.float_points, small))
 
     def test_mixed_parts_raise(self):
         mixed = (1 + SQRT_PHI,) + (GoldenExt(0),) * 7
@@ -693,8 +808,8 @@ class TestEdgeSpread:
         assert differs > 0
 
 
-def faces(z, members, triangles):
-    """The faces of a layer's triangles: for each triangle that is not
+def coplanar_groups(z, members, triangles):
+    """The faces that triangles lie in: for each triangle that is not
     degenerate, the members on its plane, exactly."""
     out = set()
     for i, j, k in triangles:
@@ -730,7 +845,7 @@ def degenerate_clouds(draw):
 
 class TestDegenerateClouds:
     """qhull, a test-only oracle, against the exact peel on clouds with many
-    coplanar and collinear points."""
+    coplanar and collinear points, and ``exact_hull`` on rests of at most 20."""
 
     @given(degenerate_clouds())
     @settings(max_examples=150, deadline=None)
@@ -745,15 +860,14 @@ class TestDegenerateClouds:
                 break
             assert_outward(exact, layer)
             # a closed surface: each directed edge once, and its reverse once
-            directed = Counter(e for a, b, c in layer.triangles for e in ((a, b), (b, c), (c, a)))
+            directed = directed_edges(layer)
             assert all(n == 1 and directed[v, u] == 1 for (u, v), n in directed.items())
             qhull = spatial.ConvexHull([floats[r] for r in rest])
             assert list(layer.members) == sorted(rest[v] for v in qhull.vertices)
             theirs = [tuple(rest[v] for v in t) for t in qhull.simplices]
-            ours = faces(z, layer.members, layer.triangles)
-            assert ours == faces(z, layer.members, theirs)
-            if all(len(f) == 3 for f in ours):  # simplicial: the very same triangles
-                assert {frozenset(t) for t in layer.triangles} == {frozenset(t) for t in theirs}
+            assert {frozenset(f) for f in layer.faces} == coplanar_groups(z, layer.members, theirs)
+            if len(rest) <= 20:
+                assert_exact_faces(exact, layer, rest)
             rest = sorted(set(rest) - set(layer.members))
         assert rest == []
 
@@ -816,6 +930,19 @@ class TestObjEmission:
         for l in lines:
             if l.startswith("f "):
                 assert all(1 <= int(t) <= 6 for t in l.split()[1:])
+
+    def test_obj_cube_has_square_faces(self):
+        # one f line per square, its four corners turning counter-clockwise
+        # seen from outside: no vertex lies in front of the plane of its
+        # first three corners (the cube's floats are exact)
+        lines = emit_layer_obj(peel_hulls(*cube_with_center())[0], "cube").splitlines()
+        vertices = [tuple(map(float, l.split()[1:])) for l in lines if l.startswith("v ")]
+        faces = [[vertices[int(t) - 1] for t in l.split()[1:]] for l in lines if l.startswith("f ")]
+        assert len(vertices) == 8 and [len(f) for f in faces] == [4] * 6
+        for p, q, r, _ in faces:
+            n = ext_cross(ext_sub(q, p), ext_sub(r, p))
+            sides = [ext_dot(ext_sub(v, p), n) for v in vertices]
+            assert max(sides) == 0 and sides.count(0) == 4
 
     def test_obj_deterministic(self):
         layer = peel_hulls(*icosahedron())[0]
