@@ -20,18 +20,19 @@ import os
 import sys
 from pathlib import Path
 
-# constants (with field and matrix) is all that build_parser and dump need;
-# every other cmd_* imports the module it runs, so no command loads a
-# module it does not use
-from .constants import (
-    BASIS_BUILDERS,
-    LATTICE_CHECK_NAMES,
-    MAX_ROOTS,
-    MODES,
-    NAMED_MATRICES,
-    VERIFIER_GROUP_NAMES,
-    resolve_matrix,
+# build_parser and `dump FILE` need only field and matrix, each cmd_* imports
+# its module, and the vocabulary below is names, pinned by test_constants.py
+from .matrix import ExactMatrix
+
+MATRIX_NAMES = ("U", "Uinv", "cmU", "J", "H", "srE8", "cmE8", "Bplus", "Bminus")
+BASES = ("U", "cmU")
+VERIFIER_GROUP_NAMES = (
+    "products", "golden-cartan", "row-reversed", "powers",
+    "odd-powers", "brackets", "char-polys", "schlafli-probe",
 )
+LATTICE_CHECK_NAMES = ("roots", "hamming", "construction-a", "hadamard-map", "vertex-coords")
+MODES = ("normalized-pairing", "raw-pairing", "pair-coupling")
+MAX_ROOTS = 10_000
 
 
 def _json_dump(obj: object) -> str:
@@ -84,6 +85,18 @@ def _emit_reports(reports, as_json: bool, keys: tuple[str, ...] | None = None) -
     return _exit_code(reports)
 
 
+def _resolve_matrix(name: str) -> ExactMatrix:
+    """A file that is not a name, read without the builders; else constants.resolve_matrix."""
+    if name not in MATRIX_NAMES:
+        try:
+            return ExactMatrix.from_file(name)
+        except FileNotFoundError:
+            pass
+    from .constants import resolve_matrix
+
+    return resolve_matrix(name)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import identities
 
@@ -118,7 +131,7 @@ def cmd_powers(args: argparse.Namespace) -> int:
 def cmd_roots(args: argparse.Namespace) -> int:
     from . import roots
 
-    matrix = resolve_matrix(args.matrix)
+    matrix = _resolve_matrix(args.matrix)
     rule = roots.EnumerationRule(args.mode, args.max_height, args.max_roots)
     records = roots.enumerate_roots(matrix, rule)
     summary = roots.summarize(records)
@@ -225,7 +238,7 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 
 def cmd_dump(args: argparse.Namespace) -> int:
-    matrix = resolve_matrix(args.name)
+    matrix = _resolve_matrix(args.name)
     sys.stdout.write(matrix.to_literal() + "\n")
     return 0
 
@@ -254,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots.add_argument(
         "--matrix",
         default="cmE8",
-        help="named matrix (%s) or a file path" % ", ".join(sorted(NAMED_MATRICES)),
+        help="named matrix (%s) or a file path" % ", ".join(sorted(MATRIX_NAMES)),
     )
     p_roots.add_argument("--mode", choices=MODES, default="normalized-pairing")
     p_roots.add_argument("--max-height", type=int, default=10)
@@ -279,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_project.add_mutually_exclusive_group(required=True)
     group.add_argument("--dims", help="three 1-based coordinates, like 2,3,4")
     group.add_argument("--all", action="store_true", help="every 3-coordinate choice")
-    p_project.add_argument("--basis", choices=sorted(BASIS_BUILDERS), default="U")
+    p_project.add_argument("--basis", choices=sorted(BASES), default="U")
     p_project.add_argument("--json", action="store_true")
     p_project.add_argument("--csv", metavar="PATH", help="write signature CSV")
     p_project.add_argument("--obj", metavar="DIR", help="write per-layer OBJ meshes")

@@ -10,16 +10,17 @@ is cached: all callers share one immutable instance of each matrix.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
+from typing import TYPE_CHECKING
 
-from .field import GoldenExt, GoldenScalar
+from .field import HALF, GoldenExt, GoldenScalar
 from .matrix import ExactMatrix
 
-_HALF = Fraction(1, 2)
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # 1/(2*sqrt(phi)) = ((phi-1)/2) * sqrt(phi)
-_HALF_INV_PHI = GoldenScalar(Fraction(-1, 2), Fraction(1, 2))
+_HALF_INV_PHI = GoldenScalar(-HALF, HALF)
 
 # entries of 2*sqrt(phi)*U as (a, b) pairs meaning a + b*phi
 _U_TABLE: tuple[tuple[tuple[int, int], ...], ...] = (
@@ -58,17 +59,17 @@ _BRACKET_PLUS_TABLE: tuple[tuple[int, ...], ...] = (
     (2, 0, 0, 0, 0, 0, 0, 0),
 )
 
-# Bourbaki-ordered simple roots of E8 in the even coordinate system;
-# every row has squared norm 2 and the Gram matrix is build_cmE8()
-_SRE8_ROWS: tuple[tuple[Fraction, ...], ...] = (
-    (_HALF, -_HALF, -_HALF, -_HALF, -_HALF, -_HALF, -_HALF, _HALF),
-    (Fraction(1), Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(0)),
-    (Fraction(-1), Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(-1), Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(0), Fraction(-1), Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(0), Fraction(0), Fraction(-1), Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(-1), Fraction(1), Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(-1), Fraction(1), Fraction(0)),
+# Bourbaki-ordered simple roots of E8 in the even coordinate system, doubled;
+# halved, every row has squared norm 2 and the Gram matrix is build_cmE8()
+SRE8_DOUBLED: tuple[tuple[int, ...], ...] = (
+    (1, -1, -1, -1, -1, -1, -1, 1),
+    (2, 2, 0, 0, 0, 0, 0, 0),
+    (-2, 2, 0, 0, 0, 0, 0, 0),
+    (0, -2, 2, 0, 0, 0, 0, 0),
+    (0, 0, -2, 2, 0, 0, 0, 0),
+    (0, 0, 0, -2, 2, 0, 0, 0),
+    (0, 0, 0, 0, -2, 2, 0, 0),
+    (0, 0, 0, 0, 0, -2, 2, 0),
 )
 
 _CME8_ROWS: tuple[tuple[int, ...], ...] = (
@@ -111,11 +112,11 @@ def build_U_inv() -> ExactMatrix:
 @cache
 def build_cmU() -> ExactMatrix:
     """(sqrt5/2)*I + (1/2)*J; equal to U*U."""
-    sqrt5_half = GoldenScalar(Fraction(-1, 2), 1)
+    sqrt5_half = GoldenScalar(-HALF, 1)
     return ExactMatrix(
         [
             [
-                sqrt5_half if i == j else (_HALF if i + j == 7 else 0)
+                sqrt5_half if i == j else (HALF if i + j == 7 else 0)
                 for j in range(8)
             ]
             for i in range(8)
@@ -152,7 +153,7 @@ def build_hadamard(q: int) -> ExactMatrix:
 @cache
 def build_srE8() -> ExactMatrix:
     """Norm-2 simple-root rows for E8; Gram matrix is build_cmE8()."""
-    return ExactMatrix(_SRE8_ROWS)
+    return ExactMatrix(SRE8_DOUBLED) * HALF
 
 
 @cache
@@ -164,7 +165,7 @@ def build_cmE8() -> ExactMatrix:
 @cache
 def bracket_plus() -> ExactMatrix:
     """Traceless orthogonal involution from odd power sums of U."""
-    return ExactMatrix([[Fraction(x, 2) for x in row] for row in _BRACKET_PLUS_TABLE])
+    return ExactMatrix(_BRACKET_PLUS_TABLE) * HALF
 
 
 @cache
@@ -175,7 +176,7 @@ def bracket_minus() -> ExactMatrix:
 
 def srE8_rows() -> tuple[tuple[Fraction, ...], ...]:
     """Raw rational rows of the simple-root basis."""
-    return _SRE8_ROWS
+    return tuple(tuple(x.a for x in row) for row in build_srE8().rows)
 
 
 NAMED_MATRICES = {
@@ -190,21 +191,8 @@ NAMED_MATRICES = {
     "Bminus": bracket_minus,
 }
 
-# bases for the hull vertices (`project --basis`); listed here so the CLI
-# can offer them without loading the hull stack
+# bases for the hull vertices (`project --basis`)
 BASIS_BUILDERS = {"U": build_U, "cmU": build_cmU}
-
-# the `verify --only`, `lattice --check` and `roots --mode` choices, in the
-# order of identities.VERIFIER_GROUPS and lattice.CHECK_GROUPS; listed here
-# so the CLI can offer them without loading those modules
-VERIFIER_GROUP_NAMES = (
-    "products", "golden-cartan", "row-reversed", "powers",
-    "odd-powers", "brackets", "char-polys", "schlafli-probe",
-)
-LATTICE_CHECK_NAMES = ("roots", "hamming", "construction-a", "hadamard-map", "vertex-coords")
-MODES = ("normalized-pairing", "raw-pairing", "pair-coupling")
-# the default `roots --max-roots` bound on one enumeration
-MAX_ROOTS = 10_000
 
 
 def resolve_matrix(name_or_path: str) -> ExactMatrix:

@@ -17,21 +17,25 @@ One rule, ``coerce``, says what counts as a field element: an ``int``, a
 ``ExactMatrix`` all apply it, and anything else, a ``float``, ``str`` or
 ``Decimal`` included, is a ``TypeError``.  A rational element hashes as
 the equal ``Fraction``.  Floats appear only through ``to_float``.
+Rendering reads the integers; only the queries above and ``repr``
+import ``fractions``, to return or print a ``Fraction``.
 """
 from __future__ import annotations
 
 import math
 import re
 import sys
-from fractions import Fraction
 from functools import total_ordering
 from math import gcd
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 PHI_FLOAT: float = (1.0 + math.sqrt(5.0)) / 2.0
 SQRT_PHI_FLOAT: float = math.sqrt(PHI_FLOAT)
 
-FieldLike = Union[int, Fraction, "GoldenExt"]
+FieldLike = Union[int, "Fraction", "GoldenExt"]
 
 _HASH = sys.hash_info
 
@@ -167,7 +171,8 @@ class GoldenExt:
             return NotImplemented
 
     def __pow__(self, k: int) -> "GoldenExt":
-        return power(self, k, ONE)
+        # from a plain copy, so that a GoldenScalar's x**1 is a GoldenExt too
+        return power(_make(*self._n), k, ONE)
 
     def __eq__(self, other: object) -> bool:
         try:
@@ -224,27 +229,32 @@ class GoldenExt:
             raise ValueError(f"{self} has a sqrt(phi) component")
         return self
 
+    def phi_ints(self) -> tuple[int, int, int]:
+        """(a, b, d) with value (a + b*phi)/d, in lowest terms with d > 0."""
+        c0, _, c2, _, d = self.scalar_part()._n
+        return c0, c2, d
+
     @property
     def a(self) -> Fraction:
         """a in a + b*phi."""
-        c0, _, _, _, d = self.scalar_part()._n
-        return Fraction(c0, d)
+        a, _, d = self.phi_ints()
+        return _fraction(a, d)
 
     @property
     def b(self) -> Fraction:
         """b in a + b*phi."""
-        _, _, c2, _, d = self.scalar_part()._n
-        return Fraction(c2, d)
+        _, b, d = self.phi_ints()
+        return _fraction(b, d)
 
     def field_norm(self) -> Fraction:
         """Product with the Galois conjugate phi -> 1 - phi; rational, zero only at zero."""
-        c0, _, c2, _, d = self.scalar_part()._n
-        return Fraction(c0 * c0 + c0 * c2 - c2 * c2, d * d)
+        a, b, d = self.phi_ints()
+        return _fraction(a * a + a * b - b * b, d * d)
 
     def sqrt5_parts(self) -> tuple[Fraction, Fraction]:
         """(p, q) with value p + q*sqrt5."""
-        c0, _, c2, _, d = self.scalar_part()._n
-        return (Fraction(2 * c0 + c2, 2 * d), Fraction(c2, 2 * d))
+        a, b, d = self.phi_ints()
+        return (_fraction(2 * a + b, 2 * d), _fraction(b, 2 * d))
 
     def to_float(self) -> float:
         c0, c1, c2, c3, d = self._n
@@ -253,16 +263,11 @@ class GoldenExt:
 
     def __str__(self) -> str:
         c0, c1, c2, c3, d = self._n
-        return _render_terms([
-            (Fraction(c0, d), ""),
-            (Fraction(c2, d), "phi"),
-            (Fraction(c1, d), "sqrt(phi)"),
-            (Fraction(c3, d), "phi*sqrt(phi)"),
-        ])
+        return _render_terms(d, [(c0, ""), (c2, "phi"), (c1, "sqrt(phi)"), (c3, "phi*sqrt(phi)")])
 
     def __repr__(self) -> str:
         c0, c1, c2, c3, d = self._n
-        u, v = (f"GoldenScalar({Fraction(a, d)!r}, {Fraction(b, d)!r})"
+        u, v = (f"GoldenScalar({_fraction(a, d)!r}, {_fraction(b, d)!r})"
                 for a, b in ((c0, c2), (c1, c3)))
         return f"GoldenExt({u}, {v})" if c1 or c3 else u
 
@@ -337,13 +342,22 @@ def coerce(x: object) -> GoldenExt:
     # the exact type first: ExactMatrix converts every entry of every product
     if type(x) is GoldenExt or isinstance(x, GoldenExt):
         return x
-    if isinstance(x, (int, Fraction)):
+    # a Fraction can exist only once its module is loaded, so coerce imports none
+    fractions = sys.modules.get("fractions")
+    if isinstance(x, int) or (fractions is not None and isinstance(x, fractions.Fraction)):
         return _make(x.numerator, 0, 0, 0, x.denominator)
     raise TypeError(f"cannot use {type(x).__name__} as a field element")
 
 
+def _fraction(n: int, d: int) -> Fraction:
+    """Fraction(n, d), for the calls that return one; nothing else loads fractions."""
+    from fractions import Fraction
+
+    return Fraction(n, d)
+
+
 def power(x, k: int, one):
-    """x**k by square-and-multiply from ``one``; k < 0 inverts x first.
+    """x**k by square-and-multiply from x; k < 0 inverts x first, and x**0 is ``one``.
 
     The one power loop of ``GoldenExt`` and ``ExactMatrix``.
     """
@@ -351,13 +365,14 @@ def power(x, k: int, one):
         return NotImplemented
     if k < 0:
         x, k = x.inverse(), -k
-    result = one
+    result = None  # x to the low bits of k read so far
     while k:
         if k & 1:
-            result = result * x
-        x = x * x
+            result = x if result is None else result * x
         k >>= 1
-    return result
+        if k:
+            x = x * x
+    return one if result is None else result
 
 
 _ZERO_N = (0, 0, 0, 0, 1)
@@ -369,19 +384,22 @@ HALF = _make(1, 0, 0, 0, 2)
 SQRT_PHI = _make(0, 1, 0, 0, 1)
 
 
-def _render_terms(terms: list[tuple[Fraction, str]]) -> str:
+def _render_terms(d: int, terms: list[tuple[int, str]]) -> str:
+    """The terms c/d*unit as text, each c/d in lowest terms; d > 0."""
     parts: list[str] = []
-    for coeff, unit in terms:
-        if coeff == 0:
+    for c, unit in terms:
+        if not c:
             continue
-        if unit and coeff == 1:
+        g = gcd(c, d)
+        coeff = str(c // g) if g == d else f"{c // g}/{d // g}"
+        if unit and coeff == "1":
             body = unit
-        elif unit and coeff == -1:
+        elif unit and coeff == "-1":
             body = f"-{unit}"
         elif unit:
             body = f"{coeff}*{unit}"
         else:
-            body = str(coeff)
+            body = coeff
         if not parts:
             parts.append(body)
         elif body.startswith("-"):
@@ -393,8 +411,8 @@ def _render_terms(terms: list[tuple[Fraction, str]]) -> str:
 
 def sqrt5_form(x: GoldenExt) -> str:
     """Render in the {1, sqrt5} basis, e.g. '7' or '3*sqrt(5)'."""
-    p, q = x.sqrt5_parts()
-    return _render_terms([(p, ""), (q, "sqrt(5)")])
+    a, b, d = x.phi_ints()
+    return _render_terms(2 * d, [(2 * a + b, ""), (b, "sqrt(5)")])
 
 
 _FACTOR = r"sqrt\(phi\)|phi|[0-9]+(?:/[0-9]+)?"

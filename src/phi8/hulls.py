@@ -103,12 +103,11 @@ class VertexSet:
         values = tuple(sorted(set().union(*columns)))
         rank = {v: r for r, v in enumerate(values)}.__getitem__
         scale = ONE if all(v.is_scalar() for v in values) else SQRT_PHI
-        # .a and .b raise ValueError on a value with both a Q(phi) and a sqrt(phi) part
-        scale *= lcm(*(x.denominator for v in values for x in ((v * scale).a, (v * scale).b)))
-        scaled = [v * scale for v in values]
+        # phi_ints raises ValueError on a value with both a Q(phi) and a sqrt(phi) part
+        scale *= lcm(*((v * scale).phi_ints()[2] for v in values))
         return CoordinateIndex(values, tuple(v.to_float() for v in values),
                                tuple(tuple(map(rank, col)) for col in columns),
-                               tuple((int(v.a), int(v.b)) for v in scaled))
+                               tuple((v * scale).phi_ints()[:2] for v in values))
 
 
 def build_vertices(basis: str = "U") -> VertexSet:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from typing import NamedTuple
 
 from .constants import (
@@ -20,7 +19,7 @@ from .constants import (
     build_U,
     build_U_inv,
 )
-from .field import PHI, PHI_FLOAT, SQRT5, SQRT_PHI, sqrt5_form
+from .field import HALF, PHI, PHI_FLOAT, SQRT5, SQRT_PHI, sqrt5_form
 from .matrix import ExactMatrix
 
 
@@ -121,12 +120,8 @@ def verify_power_pattern(n: int) -> tuple[IdentityReport, ...]:
         f"power_{n}_diff", cm_pow - cm_neg, build_J() * diff_scalar,
         details={"scalar": sqrt5_form(diff_scalar)},
     )
-    sp, sq = sum_scalar.sqrt5_parts()
-    dp, dq = diff_scalar.sqrt5_parts()
-    if n % 2 == 0:
-        parity_ok = sq == 0 and sp.denominator == 1 and dp == 0 and dq.denominator == 1
-    else:
-        parity_ok = sp == 0 and sq.denominator == 1 and dp.denominator == 1 and dq == 0
+    whole, root5 = (sum_scalar, diff_scalar) if n % 2 == 0 else (diff_scalar, sum_scalar)
+    parity_ok = whole.is_integer() and (root5 / SQRT5).is_integer()
     parity_rep = IdentityReport(
         f"power_{n}_parity", parity_ok,
         details={
@@ -220,7 +215,7 @@ def verify_char_polys() -> tuple[IdentityReport, ...]:
 def schlafli_probe() -> IdentityReport:
     """Probe whether (1/2)I - (3/2)J reproduces -U^-1.  It does not;
     the report records the residual instead of asserting."""
-    probe = ExactMatrix.identity(8) * Fraction(1, 2) - build_J() * Fraction(3, 2)
+    probe = ExactMatrix.identity(8) * HALF - build_J() * (3 * HALF)
     target = -build_U_inv()
     diff = probe - target
     witness = None

@@ -3,27 +3,30 @@
 Everything here is exact: roots are doubled integer vectors inside, one
 cached sorted list, and Fraction tuples only at the API; codewords are
 bit tuples; and the Construction A lattice carries the 1/sqrt2 scaling
-as a squared factor so the Gram matrix stays rational.  The contact
-count and the inner-product histogram share one integer pair Gram per
-vector list.
+as a squared factor, so its Gram matrix is the integer B*B^T halved.
+The contact count and the inner-product histogram share one integer
+pair Gram per vector list.
 Each ``CHECK_GROUPS`` entry is a ``phi8 lattice --check`` group: a
 function that returns its ``IdentityReport`` values directly.
 """
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations
 from operator import mul
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .constants import build_cmE8, build_hadamard, build_srE8, srE8_rows
+from .constants import SRE8_DOUBLED, build_cmE8, build_hadamard, build_srE8
+from .field import HALF
 from .identities import IdentityReport
 from .matrix import ExactMatrix
 from .roots import EnumerationRule, enumerate_roots, signed_images
 
-Root = tuple[Fraction, ...]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Root = tuple["Fraction", ...]
 Doubled = tuple[int, ...]
 
 
@@ -42,6 +45,8 @@ def _doubled_roots() -> tuple[Doubled, ...]:
 
 
 def _halved(vectors: Iterable[Doubled]) -> list[Root]:
+    from fractions import Fraction
+
     return [tuple(Fraction(x, 2) for x in v) for v in vectors]
 
 
@@ -98,6 +103,8 @@ def count_contact_pairs(roots: list[Root]) -> int:
 
 def inner_product_histogram(roots: list[Root]) -> dict[Fraction, int]:
     """Distribution of <a, b> over unordered distinct pairs."""
+    from fractions import Fraction
+
     return {Fraction(k, 4): c for k, c in _dot_counts(_scaled_int_vectors(roots)).items()}
 
 
@@ -146,14 +153,14 @@ def hamming84() -> Hamming84:
     return Hamming84(gen, tuple(sorted(words)))
 
 
-def _construction_a_gram(code: Hamming84) -> tuple[tuple[Fraction, ...], ...]:
-    """Gram matrix B*B^T / 2 of the Construction A basis of ``code``."""
+def _construction_a_gram(code: Hamming84) -> tuple[tuple[int, ...], ...]:
+    """B*B^T for the Construction A basis B of ``code``, twice the lattice's Gram matrix."""
     # the generator is systematic (identity in columns 1-4), so 2*e_j fills columns 5-8
     basis = code.generator + tuple(
         tuple(2 if k == col else 0 for k in range(8)) for col in range(4, 8)
     )
     return tuple(
-        tuple(Fraction(sum(a * b for a, b in zip(u, v)), 2) for v in basis)
+        tuple(sum(a * b for a, b in zip(u, v)) for v in basis)
         for u in basis
     )
 
@@ -167,13 +174,12 @@ def construction_a() -> list[IdentityReport]:
     vectors of squared norm 2, the E8 lattice.
     """
     code = hamming84()
-    gram = _construction_a_gram(code)
-    is_even = all(
-        gram[i][i].denominator == 1 and gram[i][i] % 2 == 0 for i in range(8)
-    ) and all(g.denominator == 1 for row in gram for g in row)
+    bbt = _construction_a_gram(code)
+    is_even = all(bbt[i][i] % 4 == 0 for i in range(8)) and all(
+        g % 2 == 0 for row in bbt for g in row)
     # leading principal minors; the last is the determinant, and all > 0
     # is Sylvester's criterion for positive definiteness
-    minors = [ExactMatrix([row[:k] for row in gram[:k]]).det() for k in range(1, 9)]
+    minors = [(ExactMatrix([row[:k] for row in bbt[:k]]) * HALF).det() for k in range(1, 9)]
     count = _count_minimal(set(code.codewords))
     return [
         IdentityReport("lattice_even", is_even),
@@ -216,7 +222,7 @@ def hadamard_code_correspondence() -> list[IdentityReport]:
     H = build_hadamard(3)
     mapped: set[tuple[int, ...]] = set()
     for row in H.rows:
-        bits = tuple((1 - int(e.a)) // 2 for e in row)
+        bits = tuple(int(e == -1) for e in row)
         mapped.add(bits)
         mapped.add(tuple(1 - b for b in bits))
     mapped_t = tuple(sorted(mapped))
@@ -270,8 +276,7 @@ def _find_column_permutation(
 def _doubled_vertex_coords() -> tuple[Doubled, ...]:
     """Signed images of the enumerated positive roots through doubled srE8 rows, sorted."""
     rule = EnumerationRule(mode="normalized-pairing", max_height=30)
-    rows = _scaled_int_vectors(srE8_rows())
-    return tuple(sorted(signed_images(enumerate_roots(build_cmE8(), rule), rows)))
+    return tuple(sorted(signed_images(enumerate_roots(build_cmE8(), rule), SRE8_DOUBLED)))
 
 
 def e8_vertex_coords() -> list[Root]:

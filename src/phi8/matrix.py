@@ -10,7 +10,6 @@ therefore stays inside the field.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
 from typing import Iterable, Sequence
 
@@ -179,7 +178,7 @@ class ExactMatrix:
         coeffs.append(c)
         for k in range(2, n + 1):
             m = self * (m + ExactMatrix.identity(n) * c)
-            c = -(m.trace()) / Fraction(k)
+            c = -(m.trace()) / k
             coeffs.append(c)
         return CharPoly(tuple(coeffs))
 

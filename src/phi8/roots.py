@@ -18,9 +18,12 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .constants import MAX_ROOTS, MODES
 from .field import GoldenExt
 from .matrix import ExactMatrix
+
+MODES = ("normalized-pairing", "raw-pairing", "pair-coupling")
+# the default bound on the roots of one enumeration (`roots --max-roots`)
+MAX_ROOTS = 10_000
 
 
 class EnumerationRule:

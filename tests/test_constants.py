@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from phi8 import constants, identities, lattice, roots
+from phi8 import cli, constants, identities, lattice, roots
 from phi8.constants import (
     NAMED_MATRICES,
     bracket_minus,
@@ -168,6 +168,9 @@ class TestRegistry:
 
     def test_choice_names_match_registries(self):
         # the CLI offers these names without loading the registries
-        assert constants.VERIFIER_GROUP_NAMES == tuple(identities.VERIFIER_GROUPS)
-        assert constants.LATTICE_CHECK_NAMES == tuple(lattice.CHECK_GROUPS)
-        assert roots.MODES is constants.MODES
+        assert cli.MATRIX_NAMES == tuple(constants.NAMED_MATRICES)
+        assert cli.BASES == tuple(constants.BASIS_BUILDERS)
+        assert cli.MODES == roots.MODES
+        assert cli.MAX_ROOTS == roots.MAX_ROOTS
+        assert cli.VERIFIER_GROUP_NAMES == tuple(identities.VERIFIER_GROUPS)
+        assert cli.LATTICE_CHECK_NAMES == tuple(lattice.CHECK_GROUPS)

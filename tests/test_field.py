@@ -281,6 +281,41 @@ class TestRendering:
     def test_parse_render_roundtrip(self, x):
         assert parse_scalar(str(x)) == x
 
+    @given(any_elements)
+    @settings(max_examples=150)
+    def test_rendering_matches_the_fraction_reference(self, x):
+        u, v = x.u, x.v
+        assert str(x) == _reference_terms(
+            [(u.a, ""), (u.b, "phi"), (v.a, "sqrt(phi)"), (v.b, "phi*sqrt(phi)")])
+        scalar = lambda s: f"GoldenScalar({s.a!r}, {s.b!r})"
+        assert repr(x) == (f"GoldenExt({scalar(u)}, {scalar(v)})" if v else scalar(u))
+        if x.is_scalar():
+            # a + b*phi = (a + b/2) + (b/2)*sqrt5
+            assert sqrt5_form(x) == _reference_terms([(x.a + x.b / 2, ""), (x.b / 2, "sqrt(5)")])
+
+
+def _reference_terms(terms: list[tuple[Fraction, str]]) -> str:
+    """The sum of coeff*unit as text, rendered from Fraction coefficients."""
+    parts: list[str] = []
+    for coeff, unit in terms:
+        if coeff == 0:
+            continue
+        if unit and coeff == 1:
+            body = unit
+        elif unit and coeff == -1:
+            body = f"-{unit}"
+        elif unit:
+            body = f"{coeff}*{unit}"
+        else:
+            body = str(coeff)
+        if not parts:
+            parts.append(body)
+        elif body.startswith("-"):
+            parts.append(f" - {body[1:]}")
+        else:
+            parts.append(f" + {body}")
+    return "".join(parts) if parts else "0"
+
 
 # Scalar literals built with their values, never through parse_scalar.
 _blank = st.sampled_from(["", " ", "\t", "  ", " \t"])

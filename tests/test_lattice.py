@@ -153,9 +153,10 @@ class TestConstructionA:
         assert elapsed < 10.0
 
     def test_gram_integral(self):
-        gram = _construction_a_gram(hamming84())
-        assert len(gram) == 8 and all(len(row) == 8 for row in gram)
-        assert all(g.denominator == 1 for row in gram for g in row)
+        # B*B^T, twice the Gram matrix: even entries make the halved Gram integral
+        bbt = _construction_a_gram(hamming84())
+        assert len(bbt) == 8 and all(len(row) == 8 for row in bbt)
+        assert all(type(g) is int and g % 2 == 0 for row in bbt for g in row)
 
 
 def hadamard_words() -> set[tuple[int, ...]]:

@@ -2,7 +2,8 @@
 
 `import phi8` loads no submodule, and each command loads only the
 modules it runs.  No command imports numpy or scipy: phi8 has no runtime
-dependency, and scipy's qhull is only a test oracle.  Each import check
+dependency, and scipy's qhull is only a test oracle.  No command imports
+fractions either: below the API every number is the field's integers.  Each import check
 runs in a fresh interpreter with src/ first on PYTHONPATH, because this
 process has long since imported everything.
 """
@@ -16,7 +17,10 @@ import phi8
 from conftest import ROOT, child_env
 
 HEAVY = ("numpy", "scipy", "scipy.spatial")
-WATCHED = (*HEAVY, "json", "traceback", "dataclasses", "inspect")
+FRACTIONS = ("fractions", "decimal")
+WATCHED = (*HEAVY, *FRACTIONS, "json", "traceback", "dataclasses", "inspect")
+# a matrix file with golden entries, read relative to the repository root
+MATRIX_FILE = "tests/golden/d5_scaled.txt"
 
 # runs phi8.cli.main(argv), then reports on stderr which WATCHED modules
 # and phi8 submodules it loaded
@@ -99,6 +103,43 @@ class TestImportCost:
         assert loaded.isdisjoint(absent)
         assert loaded >= set(present)
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("verify",),
+            ("verify", "--json"),
+            ("powers", "-n", "12"),
+            ("dump", "U"),
+            ("dump", MATRIX_FILE),
+            ("roots", "--max-height", "30", "--csv", "{tmp}/r.csv", "--dot", "{tmp}/r.dot"),
+            ("roots", "--matrix", MATRIX_FILE, "--csv", "{tmp}/r.csv", "--dot", "{tmp}/r.dot"),
+            ("lattice",),
+            ("lattice", "--json"),
+            ("project", "--all", "--json", "--obj", "{tmp}/obj"),
+            ("project", "--dims", "2,3,4"),
+        ),
+        ids=("verify", "verify-json", "powers", "dump-name", "dump-file", "roots-name",
+             "roots-file", "lattice", "lattice-json", "project-all", "project-dims"),
+    )
+    def test_no_command_imports_fractions(self, argv, tmp_path):
+        loaded = loaded_by(*(a.format(tmp=tmp_path) for a in argv))
+        assert loaded.isdisjoint(FRACTIONS)
+
+    @pytest.mark.parametrize(
+        "argv, modules",
+        (
+            (("dump", MATRIX_FILE), {"phi8.cli", "phi8.field", "phi8.matrix"}),
+            (("roots", "--matrix", MATRIX_FILE, "--csv", "{tmp}/r.csv", "--dot", "{tmp}/r.dot"),
+             {"phi8.cli", "phi8.field", "phi8.matrix", "phi8.roots"}),
+            # positive control: a name does load the builders
+            (("dump", "U"), {"phi8.cli", "phi8.constants", "phi8.field", "phi8.matrix"}),
+        ),
+        ids=("dump-file", "roots-file", "dump-name"),
+    )
+    def test_matrix_file_loads_no_builders(self, argv, modules, tmp_path):
+        loaded = loaded_by(*(a.format(tmp=tmp_path) for a in argv))
+        assert {m for m in loaded if m.startswith("phi8.")} == modules
+
     def test_import_phi8_loads_no_submodule(self):
         proc = fresh_python(
             "import sys, phi8\n"
@@ -138,6 +179,17 @@ class TestPackageApi:
     def test_submodules_resolve(self):
         for name in ("constants", "field", "matrix", "identities", "roots", "lattice", "hulls"):
             assert getattr(phi8, name) is sys.modules[f"phi8.{name}"]
+
+    def test_rational_queries_return_fractions(self):
+        # Fraction stays the API's rational type, built only where returned
+        from fractions import Fraction
+
+        x = phi8.GoldenScalar(Fraction(1, 2), 3)
+        roots = phi8.gen_e8_roots()
+        values = [x.a, x.b, x.field_norm(), *x.sqrt5_parts(), *phi8.constants.srE8_rows()[0],
+                  *roots[0], *phi8.lattice.e8_vertex_coords()[0],
+                  *phi8.lattice.inner_product_histogram(roots)]
+        assert all(type(v) is Fraction for v in values)
 
     def test_unknown_attribute_names_it(self):
         with pytest.raises(AttributeError, match="no_such_name"):
