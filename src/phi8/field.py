@@ -27,7 +27,7 @@ import re
 import sys
 from functools import total_ordering
 from math import gcd
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -320,26 +320,34 @@ def _mul_n(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, int, int, int, 
             ad * bd)
 
 
-def dot(xs: Iterable[GoldenExt], ys: Iterable[GoldenExt]) -> GoldenExt:
-    """The sum of x*y over the pairs, summed on raw numerators and normalized once."""
-    s0 = s1 = s2 = s3 = 0
-    sd = 1
-    for x, y in zip(xs, ys):
-        xn, yn = x._n, y._n
-        if xn == _ZERO_N or yn == _ZERO_N:
-            continue
-        t0, t1, t2, t3, td = _mul_n(xn, yn)
-        if td == sd:
-            s0, s1, s2, s3 = s0 + t0, s1 + t1, s2 + t2, s3 + t3
-        else:  # a common denominator, reduced once by _make
-            s0, s1, s2, s3 = s0 * td + t0 * sd, s1 * td + t1 * sd, s2 * td + t2 * sd, s3 * td + t3 * sd
-            sd *= td
-    return _make(s0, s1, s2, s3, sd)
+def matmul(xs: Sequence[Sequence[GoldenExt]], ys: Sequence[Sequence[GoldenExt]],
+           width: int) -> list[tuple[GoldenExt, ...]]:
+    """The rows of X*Y from the rows of X and of Y, which has ``width`` columns.
+
+    Row i sums X[i][k] * (row k of Y) over the nonzero X[i][k] and the
+    nonzero entries of row k, on raw numerators; each entry is normalized once.
+    """
+    sparse = [[(j, y._n) for j, y in enumerate(row) if y._n != _ZERO_N] for row in ys]
+    out = []
+    for row in xs:
+        sums = [_ZERO_N] * width
+        for x, terms in zip(row, sparse):
+            if x._n != _ZERO_N:
+                for j, yn in terms:
+                    s0, s1, s2, s3, sd = sums[j]
+                    t0, t1, t2, t3, td = _mul_n(x._n, yn)
+                    if td == sd:
+                        sums[j] = (s0 + t0, s1 + t1, s2 + t2, s3 + t3, sd)
+                    else:  # a common denominator, reduced once by _make
+                        sums[j] = (s0 * td + t0 * sd, s1 * td + t1 * sd,
+                                   s2 * td + t2 * sd, s3 * td + t3 * sd, sd * td)
+        out.append(tuple(ZERO if s is _ZERO_N else _make(*s) for s in sums))
+    return out
 
 
 def coerce(x: object) -> GoldenExt:
     """x as a field element: an int, a Fraction or a GoldenExt; TypeError otherwise."""
-    # the exact type first: ExactMatrix converts every entry of every product
+    # the exact type first: every binary operation coerces its other operand
     if type(x) is GoldenExt or isinstance(x, GoldenExt):
         return x
     # a Fraction can exist only once its module is loaded, so coerce imports none

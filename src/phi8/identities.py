@@ -71,11 +71,12 @@ class IdentityReport:
 
 def _compare(name: str, actual: ExactMatrix, expected: ExactMatrix,
              details: dict[str, object] | None = None) -> IdentityReport:
-    for i in range(actual.n):
-        for j in range(actual.n):
-            if actual[i][j] != expected[i][j]:
-                w = Witness(i, j, str(expected[i][j]), str(actual[i][j]))
-                return IdentityReport(name, False, w, details=details or {})
+    if actual != expected:  # rows compare at once; only a failure looks for its witness
+        for i in range(actual.n):
+            for j in range(actual.n):
+                if actual[i][j] != expected[i][j]:
+                    w = Witness(i, j, str(expected[i][j]), str(actual[i][j]))
+                    return IdentityReport(name, False, w, details=details or {})
     return IdentityReport(name, True, details=details or {})
 
 

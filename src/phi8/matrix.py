@@ -3,17 +3,19 @@
 Entries are ``GoldenExt`` values; every operation here is exact.  Inverse
 and determinant share one Gauss-Jordan pass, and ``**`` is the field's
 square-and-multiply loop; a matrix keeps its inverse and square, so its
-powers share one inverse and one chain of squares.  Each product entry is
-one ``field.dot``.  The characteristic polynomial uses the
-Faddeev-LeVerrier recursion, which only ever divides by integers and
-therefore stays inside the field.
+powers share one inverse and one chain of squares.  Only the constructor
+coerces entries; results keep the plain ones they compute.  Work skips zero
+entries: a product is one sparse ``field.matmul``.  The characteristic
+polynomial uses the Faddeev-LeVerrier recursion, dividing only by integers.
 """
 from __future__ import annotations
 
+from functools import cache
 from math import prod
-from typing import Iterable, Sequence
+from operator import add, sub
+from typing import Callable, Iterable, Sequence
 
-from .field import ONE, ZERO, FieldLike, GoldenExt, coerce, dot, parse_scalar, power
+from .field import ONE, ZERO, FieldLike, GoldenExt, coerce, matmul, parse_scalar, power
 
 
 class SingularMatrixError(ValueError):
@@ -37,10 +39,12 @@ class ExactMatrix:
         for row in converted:
             if len(row) != n:
                 raise ValueError(f"matrix must be square, got row of length {len(row)} in {n}x{n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", converted)
-        object.__setattr__(self, "_inverse", None)
-        object.__setattr__(self, "_square", None)
+        self._fill(converted)
+
+    def _fill(self, rows: tuple[tuple[GoldenExt, ...], ...]) -> "ExactMatrix":
+        for slot, value in zip(self.__slots__, (len(rows), rows, None, None)):
+            object.__setattr__(self, slot, value)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ExactMatrix is immutable")
@@ -49,6 +53,7 @@ class ExactMatrix:
         return type(self), (self.rows,)
 
     @classmethod
+    @cache
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -67,23 +72,20 @@ class ExactMatrix:
         return hash(self.rows)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        self._check_dim(other)
-        return ExactMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._entrywise(sub, other)
+
+    def _entrywise(self, op: Callable[..., GoldenExt], other: object) -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         self._check_dim(other)
-        return ExactMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return _computed([[op(a, b) if a or b else ZERO for a, b in zip(ra, rb)]
+                          for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-e for e in row] for row in self.rows])
+        return _computed([[-e if e else ZERO for e in row] for row in self.rows])
 
     def _check_dim(self, other: "ExactMatrix") -> None:
         if self.n != other.n:
@@ -101,25 +103,21 @@ class ExactMatrix:
             s = coerce(other)
         except TypeError:
             return NotImplemented
-        return ExactMatrix([[e * s for e in row] for row in self.rows])
+        return _computed([[e * s if e else ZERO for e in row] for row in self.rows])
 
     __rmul__ = __mul__  # the field is commutative
 
     def _matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        cols = tuple(zip(*other.rows))
-        return ExactMatrix([[dot(row, col) for col in cols] for row in self.rows])
+        return _computed(matmul(self.rows, other.rows, self.n))
 
     def __truediv__(self, other: object) -> "ExactMatrix":
         return self * coerce(other).inverse()
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.rows)))
+        return _computed(zip(*self.rows))
 
     def trace(self) -> GoldenExt:
-        t = ZERO
-        for i in range(self.n):
-            t = t + self.rows[i][i]
-        return t
+        return sum((row[i] for i, row in enumerate(self.rows)), ZERO)
 
     def _gauss_jordan(
         self, right: Sequence[Sequence[GoldenExt]]
@@ -142,19 +140,19 @@ class ExactMatrix:
                 swaps += 1
             pivots.append(work[col][col])
             pinv = work[col][col].inverse()
-            work[col] = [e * pinv for e in work[col]]
+            work[col] = [e * pinv if e else ZERO for e in work[col]]
             for r in range(n):
                 if r == col or not work[r][col]:
                     continue
                 factor = work[r][col]
-                work[r] = [e - factor * p for e, p in zip(work[r], work[col])]
+                work[r] = [e - factor * p if p else e for e, p in zip(work[r], work[col])]
         return pivots, swaps, [row[n:] for row in work]
 
     def inverse(self) -> "ExactMatrix":
         """Gauss-Jordan on [self | I], run once per matrix."""
         if self._inverse is None:
             inverse = self._gauss_jordan(ExactMatrix.identity(self.n).rows)[2]
-            object.__setattr__(self, "_inverse", ExactMatrix(inverse))
+            object.__setattr__(self, "_inverse", _computed(inverse))
         return self._inverse
 
     def __pow__(self, k: int) -> "ExactMatrix":
@@ -171,15 +169,13 @@ class ExactMatrix:
 
     def char_poly(self) -> "CharPoly":
         """Faddeev-LeVerrier recursion; divides only by integers."""
-        n = self.n
-        coeffs: list[GoldenExt] = [ONE]
+        coeffs: list[GoldenExt] = [ONE, -(self.trace())]
         m = self
-        c = -(m.trace())
-        coeffs.append(c)
-        for k in range(2, n + 1):
-            m = self * (m + ExactMatrix.identity(n) * c)
-            c = -(m.trace()) / k
-            coeffs.append(c)
+        for k in range(2, self.n + 1):
+            # self * (m + c*I), c the last coefficient: c added on the diagonal
+            m = self * _computed([e + coeffs[-1] if i == j else e for j, e in enumerate(row)]
+                                 for i, row in enumerate(m.rows))
+            coeffs.append(-(m.trace()) / k)
         return CharPoly(tuple(coeffs))
 
     def is_orthogonal(self) -> bool:
@@ -211,6 +207,11 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.n}x{self.n})"
+
+
+def _computed(rows: Iterable[Iterable[GoldenExt]]) -> ExactMatrix:
+    """A result from square rows of computed GoldenExt entries: not coerced or checked again."""
+    return object.__new__(ExactMatrix)._fill(tuple(map(tuple, rows)))
 
 
 class CharPoly:

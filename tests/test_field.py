@@ -18,7 +18,7 @@ from phi8.field import (
     ZERO,
     GoldenExt,
     GoldenScalar,
-    dot,
+    matmul,
     parse_scalar,
     sqrt5_form,
 )
@@ -210,6 +210,11 @@ class TestOneType:
 
 # zeros, and rationals with unequal denominators, between general elements
 dot_entries = st.one_of(st.just(ZERO), st.builds(GoldenExt, rationals), exts)
+
+
+def dot(xs, ys):
+    """The sum of x*y over the pairs: the one entry of field.matmul of a row by a column."""
+    return matmul([xs], [[y] for y in ys], 1)[0][0]
 
 
 class TestDot:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from phi8.field import GoldenExt, GoldenScalar, dot  # noqa: E402
+from phi8.field import GoldenExt, GoldenScalar, matmul  # noqa: E402
 
 A = sympy.Symbol("a")
 MODULUS = sympy.Poly(A**4 - A**2 - 1, A, domain=sympy.QQ)
@@ -88,4 +88,6 @@ def test_dot_matches_polynomial_sum(pairs):
     total = sympy.Poly(0, A, domain=sympy.QQ)
     for x, y in pairs:
         total += to_poly(x) * to_poly(y)
-    assert to_poly(dot([x for x, _ in pairs], [y for _, y in pairs])) == reduced(total)
+    # the sum of x*y as the one entry of the product of a row by a column
+    entry = matmul([[x for x, _ in pairs]], [[y] for _, y in pairs], 1)[0][0]
+    assert to_poly(entry) == reduced(total)

@@ -175,7 +175,7 @@ class TestRunners:
             assert clone(rep) == rep
 
 
-# counts the Gauss-Jordan passes and matrix products of one run_all()
+# counts the Gauss-Jordan passes, matrix products and coercing constructions of one run_all()
 COUNT_WORK = """
 import json
 from collections import Counter
@@ -183,7 +183,7 @@ from phi8 import identities
 from phi8.matrix import ExactMatrix
 
 calls = Counter()
-for name in ("_gauss_jordan", "_matmul"):
+for name in ("_gauss_jordan", "_matmul", "__init__"):
     def counted(*args, _method=getattr(ExactMatrix, name), _name=name, **kwargs):
         calls[_name] += 1
         return _method(*args, **kwargs)
@@ -206,6 +206,8 @@ class TestComputedOnce:
         # one inversion each of U, cmU and J*cmU
         assert 1 <= calls["_gauss_jordan"] <= 3
         assert 1 <= calls["_matmul"] <= 66
+        # only the builders coerce their entries; computed results are not coerced again
+        assert 1 <= calls["__init__"] <= 12
 
     def test_builders_return_one_instance(self):
         for builder in (*NAMED_MATRICES.values(), lambda: build_J(3), lambda: build_hadamard(2)):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phi8.constants import build_cmU, build_J, build_U, build_U_inv
+from phi8.constants import build_cmU, build_hadamard, build_J, build_U, build_U_inv
 from phi8.field import PHI, SQRT5, SQRT_PHI, GoldenExt, GoldenScalar
 from phi8.matrix import CharPoly, ExactMatrix, SingularMatrixError
 
@@ -139,6 +139,79 @@ class TestEliminationOracle:
         else:
             with pytest.raises(SingularMatrixError):
                 m.inverse()
+
+
+# with rationals of unequal denominators, whose terms need a common denominator
+product_entries = st.one_of(
+    oracle_entries,
+    st.builds(GoldenExt, st.fractions(min_value=-5, max_value=5, max_denominator=9)),
+)
+
+
+@st.composite
+def product_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    a, b = ([[draw(product_entries) for _ in range(n)] for _ in range(n)] for _ in range(2))
+    return ExactMatrix(a), ExactMatrix(b)
+
+
+def textbook_product(a, b):
+    """Entry (i, j) is the sum over k of a[i][k] * b[k][j], term by term."""
+    rows = []
+    for i in range(a.n):
+        row = []
+        for j in range(a.n):
+            total = GoldenExt(0)
+            for k in range(a.n):
+                total = total + a[i][k] * b[k][j]
+            row.append(total)
+        rows.append(row)
+    return ExactMatrix(rows)
+
+
+class TestProductOracle:
+    """The sparse product against the textbook sum; zero rows and columns occur."""
+
+    @given(product_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_product_matches_textbook_sum(self, pair):
+        a, b = pair
+        assert a * b == textbook_product(a, b)
+        assert a * a == textbook_product(a, a)  # the kept square
+
+    def test_dense_hadamard(self):
+        h = build_hadamard(2)
+        assert h * h == textbook_product(h, h) == ExactMatrix.identity(4) * 4
+
+
+# every operation below computes its result now: operands are fresh copies, with no memo
+PLAIN_OPERATIONS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "neg": lambda a, b: -a,
+    "scalar": lambda a, b: a * PHI,
+    "int-scalar": lambda a, b: 2 * a,
+    "div": lambda a, b: a / SQRT_PHI,
+    "product": lambda a, b: a * b,
+    "square": lambda a, b: a * a,
+    "inverse": lambda a, b: a.inverse(),
+    "pow0": lambda a, b: a ** 0,
+    "pow2": lambda a, b: a ** 2,
+}
+
+
+class TestPlainEntries:
+    """Every computed entry is a plain GoldenExt, also from cmU's GoldenScalar diagonal."""
+
+    @pytest.mark.parametrize("op", PLAIN_OPERATIONS)
+    @pytest.mark.parametrize("pair", [
+        (build_cmU, build_J), (build_J, build_cmU), (build_U, build_cmU),
+    ], ids=["cmU,J", "J,cmU", "U,cmU"])
+    def test_computed_entries_are_plain(self, op, pair):
+        assert type(build_cmU()[0][0]) is GoldenScalar
+        a, b = (ExactMatrix(builder().rows) for builder in pair)
+        result = PLAIN_OPERATIONS[op](a, b)
+        assert all(type(e) is GoldenExt for row in result for e in row)
 
 
 invertible_matrices = oracle_matrices().filter(lambda m: m.det())
