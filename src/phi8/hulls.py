@@ -14,9 +14,9 @@ each hull's faces and so its members, and edge equality (one squared
 length for every edge).  The hull is gift wrapped (Chand & Kapur 1970):
 one fold over the cloud per open edge, in which a point takes over only
 if it lies strictly in front of the plane so far.  The points left on
-the final plane are settled once, after the fold: the next corner of
-the face first, then the farthest.  A face with more than three corners
-is marched exactly, corner by corner.  Every face is listed outward.
+the final plane hold every point of the face off the edge's line, and
+every face is marched exactly over them, corner by corner: the next
+corner first, then the farthest.  Every face is listed outward.
 Floats decide nothing; they give only the OBJ vertices and the printed
 edge spread.
 
@@ -260,15 +260,16 @@ def _wrap(z: Sequence[Row], o: int, t: Row, d: int) -> tuple[int, Row, list[int]
     return _corner(z, o, n, plane), n, plane
 
 
-def _face(z: Sequence[Row], a: int, b: int, n: Row) -> list[int]:
+def _face(z: Sequence[Row], a: int, b: int, d: int, n: Row, plane: list[int]) -> list[int]:
     """The corners of the hull face with normal n on the edge a -> b, outward
-    from a, marched exactly from that edge."""
-    plane = [i for i, p in enumerate(z) if not any(_dot(_sub(p, z[a]), n))]
-    ring = [a, b]
+    from a: d is the corner after b, and the march goes on over the wrap's
+    ``plane``, which holds every point of the face off the line a-b, and a,
+    corner by corner until it comes back to a."""
+    ring, rest = [a, b, d], [*plane, a]
     while True:
         t = _sub(z[ring[-1]], z[ring[-2]])
-        nxt = _corner(z, ring[-1], n, [e for e in plane if any(_cross(t, _sub(z[e], z[ring[-1]])))])
-        if nxt == ring[0]:
+        nxt = _corner(z, ring[-1], n, [e for e in rest if any(_cross(t, _sub(z[e], z[ring[-1]])))])
+        if nxt == a:
             return ring
         ring.append(nxt)
 
@@ -309,12 +310,7 @@ def _hull(z: Sequence[Row], group: Iterable[Symmetry]) -> list[tuple[int, ...]]:
         a, b, d = todo.pop()  # wrap the face on the edge a -> b from d
         if (a, b) in closed:
             continue
-        d, n, plane = _wrap(z, b, _sub(z[b], z[a]), d)
-        # a triangle, unless a point of its plane lies beyond its edge d -> a
-        if any(_sign(_dot(_cross(_sub(z[a], z[d]), _sub(z[e], z[d])), n)) < 0 for e in plane):
-            face = _face(z, a, b, n)
-        else:
-            face = [a, b, d]
+        face = _face(z, a, b, *_wrap(z, b, _sub(z[b], z[a]), d))
         # the face and its images; a reflection's image is reversed to face outward
         for f in [face, *([g[c] for c in (face[::-1] if odd else face)] for g, odd in group)]:
             if (f[0], f[1]) in closed:  # an image found before, e.g. by a stabiliser

@@ -20,7 +20,7 @@ from .constants import (
     build_U_inv,
 )
 from .field import HALF, PHI, PHI_FLOAT, SQRT5, SQRT_PHI, sqrt5_form
-from .matrix import ExactMatrix
+from .matrix import CharPoly, ExactMatrix
 
 
 class Witness(NamedTuple):
@@ -69,15 +69,19 @@ class IdentityReport:
         }
 
 
+def _witness(actual: ExactMatrix, expected: ExactMatrix) -> Witness | None:
+    """The first entry, in row order, where actual differs from expected."""
+    if actual == expected:  # rows compare at once; only a failure looks for its witness
+        return None
+    return next(Witness(i, j, str(e), str(a))
+                for i, (row, want) in enumerate(zip(actual.rows, expected.rows))
+                for j, (a, e) in enumerate(zip(row, want)) if a != e)
+
+
 def _compare(name: str, actual: ExactMatrix, expected: ExactMatrix,
              details: dict[str, object] | None = None) -> IdentityReport:
-    if actual != expected:  # rows compare at once; only a failure looks for its witness
-        for i in range(actual.n):
-            for j in range(actual.n):
-                if actual[i][j] != expected[i][j]:
-                    w = Witness(i, j, str(expected[i][j]), str(actual[i][j]))
-                    return IdentityReport(name, False, w, details=details or {})
-    return IdentityReport(name, True, details=details or {})
+    witness = _witness(actual, expected)
+    return IdentityReport(name, witness is None, witness, details=details or {})
 
 
 def verify_golden_cartan(U: ExactMatrix | None = None) -> IdentityReport:
@@ -195,22 +199,24 @@ def verify_bracket_properties() -> tuple[IdentityReport, ...]:
     return tuple(reports)
 
 
+def _char_poly_report(name: str, poly: CharPoly, expected: tuple) -> IdentityReport:
+    """Whether poly has the coefficients expected and is palindromic."""
+    palindromic = poly.is_palindromic()
+    return IdentityReport(
+        name, poly.coeffs == expected and palindromic,
+        details={"coeffs": [str(c) for c in poly.coeffs], "palindromic": palindromic},
+    )
+
+
 def verify_char_polys() -> tuple[IdentityReport, ...]:
     """Characteristic polynomials of U and the normalized Hadamard matrix:
     x^8 - 2*sqrt5*x^6 + 7*x^4 - 2*sqrt5*x^2 + 1 and (x^2 - 1)^4."""
-    cp_u = build_U().char_poly()
-    u_ok = cp_u.coeffs == (1, 0, -2 * SQRT5, 0, 7, 0, -2 * SQRT5, 0, 1) and cp_u.is_palindromic()
-    u_rep = IdentityReport(
-        "char_poly_U", u_ok,
-        details={"coeffs": [str(c) for c in cp_u.coeffs], "palindromic": cp_u.is_palindromic()},
+    return (
+        _char_poly_report("char_poly_U", build_U().char_poly(),
+                          (1, 0, -2 * SQRT5, 0, 7, 0, -2 * SQRT5, 0, 1)),
+        _char_poly_report("char_poly_hadamard_normalized", build_hadamard(3).char_poly().rescaled(8),
+                          (1, 0, -4, 0, 6, 0, -4, 0, 1)),
     )
-    cp_h = build_hadamard(3).char_poly().rescaled(8)
-    h_ok = cp_h.coeffs == (1, 0, -4, 0, 6, 0, -4, 0, 1) and cp_h.is_palindromic()
-    h_rep = IdentityReport(
-        "char_poly_hadamard_normalized", h_ok,
-        details={"coeffs": [str(c) for c in cp_h.coeffs], "palindromic": cp_h.is_palindromic()},
-    )
-    return (u_rep, h_rep)
 
 
 def schlafli_probe() -> IdentityReport:
@@ -218,20 +224,11 @@ def schlafli_probe() -> IdentityReport:
     the report records the residual instead of asserting."""
     probe = ExactMatrix.identity(8) * HALF - build_J() * (3 * HALF)
     target = -build_U_inv()
-    diff = probe - target
-    witness = None
-    mismatches = 0
-    max_abs = 0.0
-    for i in range(8):
-        for j in range(8):
-            if diff[i][j]:
-                mismatches += 1
-                max_abs = max(max_abs, abs(diff[i][j].to_float()))
-                if witness is None:
-                    witness = Witness(i, j, str(target[i][j]), str(probe[i][j]))
+    residuals = [abs(e.to_float()) for row in (probe - target).rows for e in row if e]
     return IdentityReport(
-        "schlafli_probe", mismatches == 0, witness, informational=True,
-        details={"mismatched_entries": mismatches, "max_abs_residual": max_abs},
+        "schlafli_probe", not residuals, _witness(probe, target), informational=True,
+        details={"mismatched_entries": len(residuals),
+                 "max_abs_residual": max(residuals, default=0.0)},
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache, lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -217,7 +217,8 @@ def hadamard_code_correspondence() -> list[IdentityReport]:
     """Sylvester Hadamard rows and their negations, under (1 - s)/2,
     form the extended Hamming codeword set up to one column permutation.
 
-    The permutation sigma reads source column sigma[j] into position j.
+    The permutation sigma reads source column sigma[j] into position j;
+    it is the first such order in lexicographic order.
     """
     H = build_hadamard(3)
     mapped: set[tuple[int, ...]] = set()
@@ -225,52 +226,18 @@ def hadamard_code_correspondence() -> list[IdentityReport]:
         bits = tuple(int(e == -1) for e in row)
         mapped.add(bits)
         mapped.add(tuple(1 - b for b in bits))
-    mapped_t = tuple(sorted(mapped))
 
-    code = hamming84()
-    target = set(code.codewords)
-
-    we_match = weight_enumerator(mapped_t) == weight_enumerator(target)
-
-    permutation = _find_column_permutation(mapped_t, code.codewords) if we_match else None
-    holds = permutation is not None and {
-        tuple(w[c] for c in permutation) for w in mapped_t
-    } == target
+    target = set(hamming84().codewords)
+    we_match = weight_enumerator(mapped) == weight_enumerator(target)
+    columns = list(zip(*mapped))
+    permutation = next((p for p in permutations(range(8))
+                        if set(zip(*map(columns.__getitem__, p))) == target),
+                       None) if we_match else None
     return [
         IdentityReport("hadamard_weight_enumerator_match", we_match),
-        IdentityReport("hadamard_column_permutation", holds,
+        IdentityReport("hadamard_column_permutation", permutation is not None,
                        details={"permutation": list(permutation) if permutation else None}),
     ]
-
-
-def _find_column_permutation(
-    source: tuple[tuple[int, ...], ...], target: tuple[tuple[int, ...], ...]
-) -> tuple[int, ...] | None:
-    """Backtracking search with prefix pruning over 16-word codes."""
-    n = len(source[0])
-    target_prefixes = [
-        sorted(w[:k] for w in target) for k in range(n + 1)
-    ]
-
-    def extend(chosen: list[int], used: set[int]) -> tuple[int, ...] | None:
-        k = len(chosen)
-        if k == n:
-            return tuple(chosen)
-        for col in range(n):
-            if col in used:
-                continue
-            chosen.append(col)
-            used.add(col)
-            prefix = sorted(tuple(w[c] for c in chosen) for w in source)
-            if prefix == target_prefixes[k + 1]:
-                full = extend(chosen, used)
-                if full is not None:
-                    return full
-            chosen.pop()
-            used.remove(col)
-        return None
-
-    return extend([], set())
 
 
 def _doubled_vertex_coords() -> tuple[Doubled, ...]:

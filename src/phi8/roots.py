@@ -70,6 +70,8 @@ def enumerate_roots(A: ExactMatrix, rule: EnumerationRule) -> list[RootRecord]:
     adjacency = [{j for j in range(n) if j != i and (A[i][j] or A[j][i])} for i in range(n)]
     columns = [tuple(A[i][j] for i in range(n)) for j in range(n)]
 
+    if n > rule.max_roots:  # the simple roots alone pass the bound
+        raise ValueError(f"enumeration passed max_roots={rule.max_roots} at height 1")
     simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
     weight: dict[tuple[int, ...], tuple[GoldenExt, ...]] = dict(zip(simple, columns))
     # events[coeffs] = list of (parent coeffs, j) acceptances, [] for simple roots

@@ -145,6 +145,17 @@ class TestRoots:
         assert proc.stdout == ""
         assert proc.stderr == "error: enumeration passed max_roots=1000 at height 8\n"
 
+    def test_max_roots_below_the_rank(self, tmp_path, capsys):
+        # the simple roots count toward the bound, so it fires at height 1
+        a2 = tmp_path / "a2.txt"
+        a2.write_text("2; -1\n-1; 2\n")
+        for argv, bound in ((["--max-roots", "5", "--max-height", "30"], 5),
+                            (["--matrix", str(a2), "--max-roots", "1"], 1)):
+            assert cli.main(["roots", *argv]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: enumeration passed max_roots={bound} at height 1\n"
+
     @pytest.mark.parametrize(
         "args",
         (

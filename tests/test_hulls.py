@@ -262,6 +262,21 @@ class TestFaceOracle:
         pts, exact = shape()
         assert_exact_faces(exact, peel_hulls(pts, exact)[0], list(range(len(exact))))
 
+    def test_grid_shells(self):
+        # {-2, 0, 2}^3 without the origin: a cube with a point inside each edge
+        # and each square, then a cuboctahedron with a point inside each
+        # square, then an octahedron; the march steps over the inner points
+        pts, exact = cloud(integers([p for p in product((-2, 0, 2), repeat=3) if any(p)]))
+        layers = peel_hulls(pts, exact)
+        rest, shapes = list(range(len(exact))), []
+        for layer in layers:
+            assert_exact_faces(exact, layer, rest)
+            shapes.append((layer.vertex_count, sorted(map(len, layer.faces)), layer.edge_count))
+            rest = sorted(set(rest) - set(layer.members))
+        assert rest == []
+        assert shapes == [(8, [4] * 6, 12), (12, [3] * 8 + [4] * 6, 24), (6, [3] * 8, 12)]
+        assert layers[-1].classification == "regular octahedron"
+
 
 class TestRotationInvariance:
     def test_classification_invariant_under_rotation(self):

@@ -5,14 +5,14 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ROOT, child_env
-from phi8 import lattice
+from phi8 import cli, lattice
 from phi8.constants import build_hadamard
 from phi8.lattice import (
     CHECK_GROUPS,
@@ -194,6 +194,25 @@ class TestHadamardCorrespondence:
         for u in words:
             for v in words:
                 assert tuple((a + b) % 2 for a, b in zip(u, v)) in words
+
+    def test_no_column_order_fails(self, monkeypatch, capsys):
+        # one weight-4 codeword swapped for a weight-4 non-codeword keeps the
+        # weight enumerator, but the set is no longer linear, so no column
+        # order of the (linear) Hadamard words reaches it: all 8! are tried
+        code = hamming84()
+        words = set(code.codewords)
+        outsider = next(w for w in product((0, 1), repeat=8) if sum(w) == 4 and w not in words)
+        words.remove(next(w for w in sorted(words) if sum(w) == 4))
+        words.add(outsider)
+        fake = lattice.Hamming84(code.generator, tuple(sorted(words)))
+        assert fake.weight_enumerator() == {0: 1, 4: 14, 8: 1}
+        monkeypatch.setattr(lattice, "hamming84", lambda: fake)
+        we_report, perm_report = hadamard_code_correspondence()
+        assert we_report.holds
+        assert not perm_report.holds
+        assert perm_report.details == {"permutation": None}
+        assert cli.main(["lattice", "--check", "hadamard-map"]) == 1
+        assert "FAIL hadamard_column_permutation" in capsys.readouterr().out
 
 
 class TestCheckGroups:

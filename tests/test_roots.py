@@ -153,6 +153,13 @@ class TestModesAndRecords:
         assert len(enumerate_roots(build_cmE8(), EnumerationRule(max_height=30, max_roots=120))) == 120
         with pytest.raises(ValueError, match="max_roots=119 at height 29"):
             enumerate_roots(build_cmE8(), EnumerationRule(max_height=30, max_roots=119))
+        # a bound below the rank is passed by the simple roots themselves
+        with pytest.raises(ValueError, match="max_roots=5 at height 1"):
+            enumerate_roots(build_cmE8(), EnumerationRule(max_height=30, max_roots=5))
+        a2 = ExactMatrix([[2, -1], [-1, 2]])
+        assert len(enumerate_roots(a2, EnumerationRule(max_roots=3))) == 3
+        with pytest.raises(ValueError, match="max_roots=1 at height 1"):
+            enumerate_roots(a2, EnumerationRule(max_roots=1))
 
     def test_no_dedup_counts_events(self):
         dedup = enumerate_roots(A3, EnumerationRule(max_height=10))
