@@ -24,12 +24,13 @@ _EXPORTS = {
         "HALF", "ONE", "PHI", "SQRT5", "SQRT_PHI", "ZERO", "GoldenExt", "GoldenScalar",
         "parse_scalar", "sqrt5_form",
     ),
-    "identities": ("IdentityReport", "run_all", "run_group", "verify_power_pattern"),
+    "identities": ("run_all", "run_group", "verify_power_pattern"),
     "lattice": (
         "Hamming84", "construction_a", "gen_e8_roots", "hadamard_code_correspondence",
         "hamming84",
     ),
     "matrix": ("CharPoly", "ExactMatrix", "SingularMatrixError"),
+    "report": ("IdentityReport",),
     "roots": (
         "EnumerationRule", "RootRecord", "enumerate_roots", "hasse_edges", "summarize",
     ),

@@ -50,39 +50,18 @@ def _out_path(path: str) -> Path:
     return p
 
 
-def _report_lines(reports) -> list[str]:
-    lines = []
-    for rep in reports:
-        if rep.informational:
-            verdict = "holds" if rep.holds else "deviates"
-            extra = ""
-            if not rep.holds and "max_abs_residual" in rep.details:
-                extra = f" (max residual {rep.details['max_abs_residual']:.6f})"
-            lines.append(f"INFO {rep.name}: {verdict}{extra}")
-        elif rep.holds:
-            lines.append(f"PASS {rep.name}")
-        else:
-            w = rep.witness
-            where = f" at ({w.row},{w.col}) expected {w.expected} got {w.actual}" if w else ""
-            lines.append(f"FAIL {rep.name}{where}")
-    return lines
-
-
-def _exit_code(reports) -> int:
-    """1 iff a non-informational check fails."""
-    return 0 if all(r.holds or r.informational for r in reports) else 1
-
-
 def _emit_reports(reports, as_json: bool, keys: tuple[str, ...] | None = None) -> int:
     """Write the reports as JSON (optionally only ``keys``) or as text lines."""
+    from .report import exit_code
+
     if as_json:
         dicts = [r.to_dict() for r in reports]
         if keys:
             dicts = [{k: d[k] for k in keys} for d in dicts]
         sys.stdout.write(_json_dump(dicts))
     else:
-        sys.stdout.write("\n".join(_report_lines(reports)) + "\n")
-    return _exit_code(reports)
+        sys.stdout.write("\n".join(r.line() for r in reports) + "\n")
+    return exit_code(reports)
 
 
 def _resolve_matrix(name: str) -> ExactMatrix:
@@ -106,6 +85,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_powers(args: argparse.Namespace) -> int:
     from . import identities
+    from .report import exit_code
 
     n = args.n
     reports = identities.verify_power_pattern(n)
@@ -122,10 +102,10 @@ def cmd_powers(args: argparse.Namespace) -> int:
         lines = [
             f"cmU^{n} + cmU^-{n} = ({sum_scalar}) * I",
             f"cmU^{n} - cmU^-{n} = ({diff_scalar}) * J",
-            *_report_lines(reports),
+            *(r.line() for r in reports),
         ]
         sys.stdout.write("\n".join(lines) + "\n")
-    return _exit_code(reports)
+    return exit_code(reports)
 
 
 def cmd_roots(args: argparse.Namespace) -> int:

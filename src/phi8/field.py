@@ -41,15 +41,10 @@ _HASH = sys.hash_info
 
 
 def _sign_q_phi(a: int, b: int) -> int:
-    """Sign of a + b*phi, from 2(a + b*phi) = s + b*sqrt5 with s = 2a + b."""
+    """Sign of a + b*phi.  With s = 2a + b, 2(a + b*phi) = s + b*sqrt5,
+    whose sign is s's where s^2 > 5b^2 and b's elsewhere."""
     s = 2 * a + b
-    ss, sb = (s > 0) - (s < 0), (b > 0) - (b < 0)
-    if ss == sb or sb == 0:
-        return ss
-    if ss == 0:
-        return sb
-    # opposite signs; s^2 = 5 b^2 has no solution with b != 0
-    return ss if s * s > 5 * b * b else sb
+    return (s > 0) - (s < 0) if s * s > 5 * b * b else (b > 0) - (b < 0)
 
 
 def _norm_parts(c0: int, c1: int, c2: int, c3: int) -> tuple[int, int]:

@@ -46,13 +46,13 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, cmp_to_key
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, permutations, product, starmap
 from math import fsum, lcm, sqrt
 from operator import itemgetter, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .constants import BASIS_BUILDERS, build_cmU
-from .field import ONE, SQRT_PHI, GoldenExt
+from .field import ONE, SQRT_PHI, GoldenExt, _sign_q_phi
 from .roots import EnumerationRule, enumerate_roots, signed_images
 
 ExactPoint = tuple[GoldenExt, ...]
@@ -176,18 +176,10 @@ def _dot(x: Row, y: Row) -> Pair:
             a0 * d0 + a1 * d1 + a2 * d2 + b0 * c0 + b1 * c1 + b2 * c2 + bd)
 
 
-def _sign(x: Pair) -> int:
-    """The sign of a + b*phi.  With s = 2a + b, 2(a + b*phi) = s + b*sqrt5,
-    whose sign is s's where s^2 > 5b^2 and b's elsewhere."""
-    a, b = x
-    s = 2 * a + b
-    return (s > 0) - (s < 0) if s * s > 5 * b * b else (b > 0) - (b < 0)
-
-
 def _lex(x: Row, y: Row) -> int:
     """-1, 0 or 1 as x is lexicographically below, at or above y."""
     d = _sub(x, y)
-    return next((s for s in map(_sign, (d[0:2], d[2:4], d[4:6])) if s), 0)
+    return next((s for s in starmap(_sign_q_phi, (d[0:2], d[2:4], d[4:6])) if s), 0)
 
 
 def _affine_rank(z: Sequence[Row]) -> int:
@@ -245,9 +237,9 @@ def _corner(z: Sequence[Row], o: int, n: Row, cands: Sequence[int]) -> int:
     best, u = cands[0], _sub(z[cands[0]], origin)
     for e in cands[1:]:
         w = _sub(z[e], origin)
-        turn = _sign(_dot(_cross(u, w), n))
+        turn = _sign_q_phi(*_dot(_cross(u, w), n))
         (a, b), (c, d) = _dot(w, w), _dot(u, u)
-        if turn < 0 or not turn and _sign((a - c, b - d)) > 0:
+        if turn < 0 or not turn and _sign_q_phi(a - c, b - d) > 0:
             best, u = e, w
     return best
 

@@ -1,14 +1,12 @@
 """Exact verification battery for the golden matrix family.
 
-Each verifier returns IdentityReport values; a report either holds or
-carries a witness naming the first mismatching entry.  The Schlafli
+Each verifier returns ``report.IdentityReport`` values.  The Schlafli
 probe is informational: it documents a residual instead of asserting.
 """
 from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
 
 from .constants import (
     bracket_minus,
@@ -21,52 +19,7 @@ from .constants import (
 )
 from .field import HALF, PHI, PHI_FLOAT, SQRT5, SQRT_PHI, sqrt5_form
 from .matrix import CharPoly, ExactMatrix
-
-
-class Witness(NamedTuple):
-    row: int
-    col: int
-    expected: str
-    actual: str
-
-
-class IdentityReport:
-    """One named check: whether it holds, its first mismatch and its details."""
-
-    __slots__ = ("name", "holds", "witness", "informational", "details")
-
-    def __init__(self, name: str, holds: bool, witness: Witness | None = None,
-                 informational: bool = False, details: dict[str, object] | None = None) -> None:
-        values = (name, holds, witness, informational, {} if details is None else details)
-        for slot, value in zip(self.__slots__, values):
-            object.__setattr__(self, slot, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("IdentityReport is immutable")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, slot) for slot in self.__slots__)
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{slot}={value!r}" for slot, value in zip(self.__slots__, self._fields()))
-        return f"{type(self).__qualname__}({fields})"
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "holds": self.holds,
-            "informational": self.informational,
-            "witness": self.witness._asdict() if self.witness else None,
-            "details": dict(self.details),
-        }
+from .report import IdentityReport, Witness
 
 
 def _witness(actual: ExactMatrix, expected: ExactMatrix) -> Witness | None:
@@ -84,15 +37,15 @@ def _compare(name: str, actual: ExactMatrix, expected: ExactMatrix,
     return IdentityReport(name, witness is None, witness, details=details or {})
 
 
-def verify_golden_cartan(U: ExactMatrix | None = None) -> IdentityReport:
+def verify_golden_cartan() -> IdentityReport:
     """cmU - cmU^-1 equals the exchange matrix J, with cmU = U*U."""
-    cmU = (U * U) if U is not None else build_cmU()
+    cmU = build_cmU()
     return _compare("golden_cartan_difference", cmU - cmU.inverse(), build_J())
 
 
-def verify_identity_sum(U: ExactMatrix | None = None) -> IdentityReport:
+def verify_identity_sum() -> IdentityReport:
     """(cmU + cmU^-1) / (2*phi - 1) equals the identity."""
-    cmU = (U * U) if U is not None else build_cmU()
+    cmU = build_cmU()
     lhs = (cmU + cmU.inverse()) / SQRT5
     return _compare("golden_cartan_sum", lhs, ExactMatrix.identity(cmU.n))
 

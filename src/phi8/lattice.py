@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .constants import SRE8_DOUBLED, build_cmE8, build_hadamard, build_srE8
 from .field import HALF
-from .identities import IdentityReport
 from .matrix import ExactMatrix
+from .report import IdentityReport
 from .roots import EnumerationRule, enumerate_roots, signed_images
 
 if TYPE_CHECKING:

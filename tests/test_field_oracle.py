@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from phi8.field import GoldenExt, GoldenScalar, matmul  # noqa: E402
+from phi8.field import GoldenExt, GoldenScalar, _sign_q_phi, matmul  # noqa: E402
 
 A = sympy.Symbol("a")
 MODULUS = sympy.Poly(A**4 - A**2 - 1, A, domain=sympy.QQ)
@@ -80,6 +80,29 @@ def test_sign_of_near_cancellation(x, y):
     # a difference of two nearby products probes the opposite-sign branches
     z = x * y - y * x.conjugate()
     assert z.sign() == numeric_sign(z)
+
+
+@given(st.integers(-(2**100), 2**100), st.integers(-(2**100), 2**100))
+@settings(max_examples=300, deadline=None)
+def test_pair_sign_matches_50_digit_value(a, b):
+    # the one sign rule for a + b*phi, which GoldenExt.sign and the hulls share
+    value = sympy.N(sympy.Integer(a) + sympy.Integer(b) * sympy.GoldenRatio, 50)
+    assert _sign_q_phi(a, b) == int(sympy.sign(value))
+
+
+def test_pair_sign_at_lucas_fibonacci_pairs():
+    # with s = 2a + b, the pairs (s, b) = (L_n, +-F_n) come closest to s^2 = 5b^2:
+    # s^2 - 5b^2 = 4(-1)^n.  They are a + b*phi = F_(n-1) + F_n*phi = phi^n > 0
+    # and F_(n+1) - F_n*phi = (1 - phi)^n, whose sign is (-1)^n
+    f_prev, f = 0, 1  # F_0, F_1
+    for n in range(1, 200):
+        lucas = f_prev * 2 + f
+        assert lucas * lucas - 5 * f * f == 4 * (-1) ** n
+        psi_sign = (-1) ** n
+        assert (_sign_q_phi(f_prev, f), _sign_q_phi(-f_prev, -f)) == (1, -1), n
+        assert (_sign_q_phi(f_prev + f, -f), _sign_q_phi(-f_prev - f, f)) == (psi_sign, -psi_sign), n
+        f_prev, f = f, f_prev + f
+    assert _sign_q_phi(0, 0) == 0
 
 
 @given(st.lists(st.tuples(st.one_of(st.just(GoldenExt(0)), exts), exts), max_size=6))

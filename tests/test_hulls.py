@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import floats_of, random_exact_image
 from phi8 import hulls
 from phi8.constants import build_U
-from phi8.field import SQRT_PHI, GoldenExt, GoldenScalar
+from phi8.field import SQRT_PHI, GoldenExt, GoldenScalar, _sign_q_phi
 from phi8.hulls import (
     HullReport,
     VertexSet,
@@ -87,7 +87,7 @@ def assert_outward(exact, layer):
     for face in layer.faces:
         i, j, k = face[:3]
         normal = hulls._cross(hulls._sub(z[j], z[i]), hulls._sub(z[k], z[i]))
-        side = lambda m: hulls._sign(hulls._dot(hulls._sub(z[m], z[i]), normal))
+        side = lambda m: _sign_q_phi(*hulls._dot(hulls._sub(z[m], z[i]), normal))
         assert {side(m) for m in face} == {0}
         signs = [side(m) for m in layer.members]
         assert max(signs) <= 0
@@ -753,7 +753,7 @@ class TestExactRank:
             dets = [hulls._dot(hulls._sub(d, a), hulls._cross(hulls._sub(b, a), hulls._sub(c, a)))
                     for a, b, c, d in ([tuple(top * e for e in row) for row in quad]
                                        for quad in corners)]
-            return [hulls._sign(x) for x in dets], max(abs(e) for x in dets for e in x)
+            return [_sign_q_phi(*x) for x in dets], max(abs(e) for x in dets for e in x)
 
         unit, _ = signs(1)
         assert {-1, 1} <= set(unit)

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import ROOT, child_env
+from phi8 import identities
 from phi8.constants import NAMED_MATRICES, build_hadamard, build_J, build_U
 from phi8.identities import (
     VERIFIER_GROUPS,
@@ -46,15 +47,20 @@ class TestCoreIdentities:
     def test_identity_sum(self):
         assert verify_identity_sum().holds
 
-    def test_negative_control(self):
+    @pytest.fixture
+    def perturbed_cmU(self, monkeypatch):
+        """The battery's cmU replaced by the square of a perturbed U."""
         bad = perturbed_U()
-        rep = verify_golden_cartan(U=bad)
+        monkeypatch.setattr(identities, "build_cmU", lambda: bad * bad)
+
+    def test_negative_control(self, perturbed_cmU):
+        rep = verify_golden_cartan()
         assert not rep.holds
         assert rep.witness is not None
-        assert not verify_identity_sum(U=bad).holds
+        assert not verify_identity_sum().holds
 
-    def test_witness_pinpoints_entry(self):
-        rep = verify_golden_cartan(U=perturbed_U())
+    def test_witness_pinpoints_entry(self, perturbed_cmU):
+        rep = verify_golden_cartan()
         w = rep.witness
         assert (w.row, w.col) == (0, 0)
         assert w.expected != w.actual
