@@ -11,13 +11,9 @@ is cached: all callers share one immutable instance of each matrix.
 from __future__ import annotations
 
 from functools import cache
-from typing import TYPE_CHECKING
 
 from .field import HALF, GoldenExt, GoldenScalar
 from .matrix import ExactMatrix
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # 1/(2*sqrt(phi)) = ((phi-1)/2) * sqrt(phi)
 _HALF_INV_PHI = GoldenScalar(-HALF, HALF)
@@ -172,11 +168,6 @@ def bracket_plus() -> ExactMatrix:
 def bracket_minus() -> ExactMatrix:
     """Row reversal of bracket_plus; appears in odd power differences."""
     return build_J() * bracket_plus()
-
-
-def srE8_rows() -> tuple[tuple[Fraction, ...], ...]:
-    """Raw rational rows of the simple-root basis."""
-    return tuple(tuple(x.a for x in row) for row in build_srE8().rows)
 
 
 NAMED_MATRICES = {

@@ -1,11 +1,11 @@
 """E8 root system, the (8,4) extended Hamming code, and their gluing.
 
-Everything here is exact: roots are doubled integer vectors inside, one
-cached sorted list, and Fraction tuples only at the API; codewords are
-bit tuples; and the Construction A lattice carries the 1/sqrt2 scaling
-as a squared factor, so its Gram matrix is the integer B*B^T halved.
-The contact count and the inner-product histogram share one integer
-pair Gram per vector list.
+Everything here is exact: roots are doubled integer vectors, one cached
+sorted list, and ``gen_e8_roots`` alone halves them into Fraction tuples;
+codewords are bit tuples; and the Construction A lattice carries the
+1/sqrt2 scaling as a squared factor, so its Gram matrix is the integer
+B*B^T halved.  The contact count and the inner-product histogram share
+one integer pair Gram per vector list.
 Each ``CHECK_GROUPS`` entry is a ``phi8 lattice --check`` group: a
 function that returns its ``IdentityReport`` values directly.
 """
@@ -44,28 +44,11 @@ def _doubled_roots() -> tuple[Doubled, ...]:
     return tuple(sorted(roots))
 
 
-def _halved(vectors: Iterable[Doubled]) -> list[Root]:
-    from fractions import Fraction
-
-    return [tuple(Fraction(x, 2) for x in v) for v in vectors]
-
-
 def gen_e8_roots() -> list[Root]:
     """All 240 E8 roots in the even coordinate system, sorted."""
-    return _halved(_doubled_roots())
+    from fractions import Fraction
 
-
-def norm_sq(v: Root) -> Fraction:
-    return sum(x * x for x in v)
-
-
-def _scaled_int_vectors(vectors: Iterable[Root]) -> tuple[Doubled, ...]:
-    """Doubled coordinates; doubling clears all denominators in the even
-    coordinate system, and any other coordinate raises ValueError."""
-    scaled = [tuple(2 * x for x in v) for v in vectors]
-    if any(x.denominator != 1 for v in scaled for x in v):
-        raise ValueError("coordinates must be integers or half-integers")
-    return tuple(tuple(x.numerator for x in v) for v in scaled)
+    return [tuple(Fraction(x, 2) for x in v) for v in _doubled_roots()]
 
 
 @lru_cache(maxsize=1)
@@ -94,18 +77,6 @@ def _dot_counts(vectors: tuple[Doubled, ...]) -> Counter[int]:
     for (_, dot), c in _pair_gram(vectors).items():
         counts[dot] += c
     return counts
-
-
-def count_contact_pairs(roots: list[Root]) -> int:
-    """Unordered root pairs at squared distance 2 (inner product 1)."""
-    return _contacts(_scaled_int_vectors(roots))
-
-
-def inner_product_histogram(roots: list[Root]) -> dict[Fraction, int]:
-    """Distribution of <a, b> over unordered distinct pairs."""
-    from fractions import Fraction
-
-    return {Fraction(k, 4): c for k, c in _dot_counts(_scaled_int_vectors(roots)).items()}
 
 
 def weight_enumerator(words: Iterable[tuple[int, ...]]) -> dict[int, int]:
@@ -180,7 +151,7 @@ def construction_a() -> list[IdentityReport]:
     # leading principal minors; the last is the determinant, and all > 0
     # is Sylvester's criterion for positive definiteness
     minors = [(ExactMatrix([row[:k] for row in bbt[:k]]) * HALF).det() for k in range(1, 9)]
-    count = _count_minimal(set(code.codewords))
+    count = len(_minimal_vectors(set(code.codewords)))
     return [
         IdentityReport("lattice_even", is_even),
         IdentityReport("lattice_unimodular", minors[-1] == 1, details={"det": str(minors[-1])}),
@@ -189,19 +160,18 @@ def construction_a() -> list[IdentityReport]:
     ]
 
 
-def _count_minimal(codeset: set[tuple[int, ...]]) -> int:
+def _minimal_vectors(codeset: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Vectors x in Z^8 with x mod 2 in the code and |x|^2 = 4.
 
     Any coordinate beyond +-2 already exceeds the norm budget, so the
     search space is finite and small.
     """
-    count = 0
+    found: list[tuple[int, ...]] = []
 
     def walk(pos: int, budget: int, prefix: list[int]) -> None:
-        nonlocal count
         if pos == 8:
             if budget == 0 and tuple(c % 2 for c in prefix) in codeset:
-                count += 1
+                found.append(tuple(prefix))
             return
         for c in (-2, -1, 0, 1, 2):
             if c * c <= budget:
@@ -210,7 +180,7 @@ def _count_minimal(codeset: set[tuple[int, ...]]) -> int:
                 prefix.pop()
 
     walk(0, 4, [])
-    return count
+    return found
 
 
 def hadamard_code_correspondence() -> list[IdentityReport]:
@@ -244,11 +214,6 @@ def _doubled_vertex_coords() -> tuple[Doubled, ...]:
     """Signed images of the enumerated positive roots through doubled srE8 rows, sorted."""
     rule = EnumerationRule(mode="normalized-pairing", max_height=30)
     return tuple(sorted(signed_images(enumerate_roots(build_cmE8(), rule), SRE8_DOUBLED)))
-
-
-def e8_vertex_coords() -> list[Root]:
-    """Signed images of the enumerated positive roots through srE8, sorted."""
-    return _halved(_doubled_vertex_coords())
 
 
 def e8_height_histogram() -> dict[int, int]:

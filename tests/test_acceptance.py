@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 
 from conftest import child_env, random_exact_image
 from phi8.constants import (
@@ -37,12 +38,10 @@ from phi8.hulls import (
 )
 from phi8.lattice import (
     construction_a,
-    count_contact_pairs,
     e8_height_histogram,
     gen_e8_roots,
     hadamard_code_correspondence,
     hamming84,
-    norm_sq,
 )
 from phi8.matrix import ExactMatrix
 from phi8.roots import EnumerationRule, enumerate_roots, summarize
@@ -123,8 +122,12 @@ def test_criterion_04_odd_power_forms():
 def test_criterion_05_e8_counts():
     roots = gen_e8_roots()
     assert len(roots) == 240
-    assert all(norm_sq(v) == 2 for v in roots)
-    pairs = count_contact_pairs(roots)
+    assert all(sum(x * x for x in v) == 2 for v in roots)
+    # doubled coordinates are integers, and squared distance 2 becomes 8
+    assert all((2 * x).denominator == 1 for v in roots for x in v)
+    doubled = [tuple(int(2 * x) for x in v) for v in roots]
+    pairs = sum(1 for a, b in combinations(doubled, 2)
+                if sum((x - y) ** 2 for x, y in zip(a, b)) == 8)
     assert pairs == 6720
     S = build_srE8()
     assert S * S.transpose() == build_cmE8()

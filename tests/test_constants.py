@@ -16,7 +16,6 @@ from phi8.constants import (
     build_U,
     build_U_inv,
     resolve_matrix,
-    srE8_rows,
 )
 from phi8.field import PHI, SQRT5, GoldenExt, GoldenScalar
 from phi8.matrix import ExactMatrix
@@ -133,8 +132,9 @@ class TestE8Constants:
         assert S * S.transpose() == build_cmE8()
 
     def test_rows_have_norm_two(self):
-        for row in srE8_rows():
-            assert sum(x * x for x in row) == 2
+        # the doubled rows: squared norm 2 * 2**2
+        for row in constants.SRE8_DOUBLED:
+            assert sum(x * x for x in row) == 8
 
     def test_cartan_diagonal(self):
         cm = build_cmE8()

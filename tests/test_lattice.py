@@ -4,7 +4,6 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -17,22 +16,28 @@ from phi8.constants import build_hadamard
 from phi8.lattice import (
     CHECK_GROUPS,
     _construction_a_gram,
+    _contacts,
+    _doubled_roots,
+    _doubled_vertex_coords,
+    _dot_counts,
+    _minimal_vectors,
     check_vertex_coords,
     construction_a,
-    count_contact_pairs,
     e8_height_histogram,
-    e8_vertex_coords,
     gen_e8_roots,
     hadamard_code_correspondence,
     hamming84,
-    inner_product_histogram,
-    norm_sq,
 )
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 @pytest.fixture(scope="module")
 def roots():
-    return gen_e8_roots()
+    """The 240 roots, doubled: integer roots have even entries, the rest odd."""
+    return _doubled_roots()
 
 
 class TestRoots:
@@ -40,40 +45,30 @@ class TestRoots:
         assert len(roots) == 240
 
     def test_split_integer_half_integer(self, roots):
-        integer = [v for v in roots if all(x.denominator == 1 for x in v)]
-        half = [v for v in roots if all(x.denominator == 2 for x in v)]
+        integer = [v for v in roots if all(x % 2 == 0 for x in v)]
+        half = [v for v in roots if all(x % 2 == 1 for x in v)]
         assert len(integer) == 112
         assert len(half) == 128
         assert len(integer) + len(half) == len(roots)
 
     def test_norms(self, roots):
-        assert all(norm_sq(v) == 2 for v in roots)
+        # squared norm 2 before doubling
+        assert all(dot(v, v) == 8 for v in roots)
 
     def test_half_integer_sign_parity(self, roots):
         for v in roots:
-            if v[0].denominator == 2:
+            if v[0] % 2 == 1:
                 assert sum(1 for x in v if x < 0) % 2 == 0
 
     def test_contact_pairs(self, roots):
-        assert count_contact_pairs(roots) == 6720
+        assert _contacts(roots) == 6720
 
     def test_inner_product_histogram(self, roots):
-        hist = inner_product_histogram(roots)
-        # <a,b> in {-2,-1,0,1} for distinct unordered pairs; -2 only for
-        # antipodes, and the +-1 counts match by symmetry
-        assert set(hist) == {Fraction(-2), Fraction(-1), Fraction(0), Fraction(1)}
-        assert hist[Fraction(-2)] == 120
-        assert hist[Fraction(1)] == 6720
-        assert hist[Fraction(-1)] == 6720
-        total = 240 * 239 // 2
-        assert sum(hist.values()) == total
-
-    def test_non_half_integer_coordinate_rejected(self):
-        v = (Fraction(1, 3),) * 8
-        with pytest.raises(ValueError):
-            inner_product_histogram([v, v])
-        with pytest.raises(ValueError):
-            count_contact_pairs([v, v])
+        # doubled dots are 4<a,b>, <a,b> in {-2,-1,0,1} for distinct unordered
+        # pairs; -2 only for antipodes, and the +-1 counts match by symmetry
+        hist = _dot_counts(roots)
+        assert hist == {-8: 120, -4: 6720, 0: 15120, 4: 6720}
+        assert sum(hist.values()) == 240 * 239 // 2
 
     def test_closed_under_negation(self, roots):
         rootset = set(roots)
@@ -96,18 +91,18 @@ def doubled_vectors(draw):
             step = draw(st.permutations(draw(st.sampled_from(CONTACT_STEPS))))
             signs = draw(st.tuples(*[st.sampled_from((1, -1))] * 8))
             out.append(tuple(max(-4, min(4, x + s * d)) for x, s, d in zip(v, signs, step)))
-    return [tuple(Fraction(x, 2) for x in v) for v in out]
+    return tuple(out)
 
 
 class TestPairKernel:
     @given(doubled_vectors())
     @settings(max_examples=150)
-    def test_matches_fraction_brute_force(self, vectors):
+    def test_matches_brute_force(self, vectors):
         pairs = list(combinations(vectors, 2))
-        contacts = sum(1 for a, b in pairs if sum((x - y) ** 2 for x, y in zip(a, b)) == 2)
-        histogram = Counter(sum(x * y for x, y in zip(a, b)) for a, b in pairs)
-        assert count_contact_pairs(vectors) == contacts
-        assert inner_product_histogram(vectors) == dict(histogram)
+        contacts = sum(1 for a, b in pairs if sum((x - y) ** 2 for x, y in zip(a, b)) == 8)
+        histogram = Counter(dot(a, b) for a, b in pairs)
+        assert _contacts(vectors) == contacts
+        assert _dot_counts(vectors) == histogram
 
 
 class TestHamming:
@@ -151,6 +146,13 @@ class TestConstructionA:
         assert reports["lattice_minimal_vectors_240"].holds
         assert reports["lattice_minimal_vectors_240"].details == {"count": 240}
         assert elapsed < 10.0
+
+    def test_minimal_vectors(self):
+        code = hamming84()
+        vectors = _minimal_vectors(set(code.codewords))
+        assert len(vectors) == len(set(vectors)) == 240
+        assert all(dot(x, x) == 4 for x in vectors)
+        assert all(tuple(c % 2 for c in x) in code.codewords for x in vectors)
 
     def test_gram_integral(self):
         # B*B^T, twice the Gram matrix: even entries make the halved Gram integral
@@ -230,16 +232,16 @@ class TestVertexCoords:
         assert reports["vertex_inner_histogram_matches"].holds
 
     def test_coords_sorted_deterministic(self):
-        assert e8_vertex_coords() == e8_vertex_coords()
+        coords = _doubled_vertex_coords()
+        assert coords == _doubled_vertex_coords()
+        assert list(coords) == sorted(coords)
 
 
 class TestDoubledIntegers:
-    """The checks run on doubled integer vectors; the Fraction API is a view of them."""
+    """The checks run on doubled integer vectors; gen_e8_roots is a view of them."""
 
     def test_doubling_the_api_lists_gives_the_integer_lists(self):
-        doubled = lambda vectors: [tuple(2 * x for x in v) for v in vectors]
-        assert doubled(gen_e8_roots()) == list(lattice._doubled_roots())
-        assert doubled(e8_vertex_coords()) == list(lattice._doubled_vertex_coords())
+        assert [tuple(2 * x for x in v) for v in gen_e8_roots()] == list(_doubled_roots())
 
     def test_checks_skip_the_fraction_api(self, monkeypatch):
         groups = ("roots", "vertex-coords")
@@ -248,8 +250,7 @@ class TestDoubledIntegers:
         def forbidden(*args):
             raise AssertionError("Fraction API called by a check")
 
-        for name in ("gen_e8_roots", "norm_sq", "e8_vertex_coords"):
-            monkeypatch.setattr(lattice, name, forbidden)
+        monkeypatch.setattr(lattice, "gen_e8_roots", forbidden)
         assert [[r.to_dict() for r in CHECK_GROUPS[g]()] for g in groups] == expected
 
 

@@ -202,10 +202,7 @@ class TestPackageApi:
         from fractions import Fraction
 
         x = phi8.GoldenScalar(Fraction(1, 2), 3)
-        roots = phi8.gen_e8_roots()
-        values = [x.a, x.b, x.field_norm(), *x.sqrt5_parts(), *phi8.constants.srE8_rows()[0],
-                  *roots[0], *phi8.lattice.e8_vertex_coords()[0],
-                  *phi8.lattice.inner_product_histogram(roots)]
+        values = [x.a, x.b, x.field_norm(), *x.sqrt5_parts(), *phi8.gen_e8_roots()[0]]
         assert all(type(v) is Fraction for v in values)
 
     def test_unknown_attribute_names_it(self):

@@ -2,7 +2,7 @@
 
 The tracer rebinds functions and methods by name and lists any it cannot
 find as missing; a rename in phi8 would silently drop those per-layer
-metrics, so this test fails on any missing hook but the one it names.  A hook that is
+metrics, so this test fails on any missing hook but the ones it names.  A hook that is
 found but bypassed reads 0 just as silently, so the hull hooks are also
 checked to count what ``project --all`` does.
 """
@@ -40,9 +40,16 @@ def run_traced(script):
 
 
 def test_tracer_finds_every_hook():
-    # the hulls no longer call qhull, so its counter finds nothing to hook;
-    # the benchmark change that counts wraps from a trace drops that hook
-    assert run_traced(SCRIPT) == ["phi8.hulls.ConvexHull"]
+    # the hulls no longer call qhull, and the lattice checks run on doubled
+    # integer vectors, so the four Fraction functions the tracer names are
+    # deleted; the benchmark change that spans the check groups drops these hooks
+    assert sorted(run_traced(SCRIPT)) == [
+        "phi8.hulls.ConvexHull",
+        "phi8.lattice.count_contact_pairs",
+        "phi8.lattice.e8_vertex_coords",
+        "phi8.lattice.inner_product_histogram",
+        "phi8.lattice.norm_sq",
+    ]
 
 
 def test_tally_all_peels_through_the_hooked_peel():
