@@ -8,8 +8,8 @@ is unique, so equality and hashing compare integers.
 ``GoldenExt`` is the one element type, written u + v*sqrt(phi) with u, v
 in Q(phi); every operation returns a ``GoldenExt``.  Lying in the
 subfield Q(phi) (c1 = c3 = 0, written a + b*phi with phi = a**2) is a
-property of a value, tested by ``is_scalar``; the queries that need it
-(``a``, ``b``, ``sqrt5_parts``, ``field_norm``) raise ``ValueError`` on a
+property of a value, tested by ``is_scalar``; ``phi_ints``, the one
+rational view (a, b, d) of (a + b*phi)/d, raises ``ValueError`` on a
 sqrt(phi) component.  ``GoldenScalar(a, b)`` only builds a + b*phi.
 
 One rule, ``coerce``, says what counts as a field element: an ``int``, a
@@ -17,8 +17,8 @@ One rule, ``coerce``, says what counts as a field element: an ``int``, a
 ``ExactMatrix`` all apply it, and anything else, a ``float``, ``str`` or
 ``Decimal`` included, is a ``TypeError``.  A rational element hashes as
 the equal ``Fraction``.  Floats appear only through ``to_float``.
-Rendering reads the integers; only the queries above and ``repr``
-import ``fractions``, to return or print a ``Fraction``.
+Rendering, ``repr`` included, reads the integers, so this module never
+imports ``fractions``.
 """
 from __future__ import annotations
 
@@ -229,28 +229,6 @@ class GoldenExt:
         c0, _, c2, _, d = self.scalar_part()._n
         return c0, c2, d
 
-    @property
-    def a(self) -> Fraction:
-        """a in a + b*phi."""
-        a, _, d = self.phi_ints()
-        return _fraction(a, d)
-
-    @property
-    def b(self) -> Fraction:
-        """b in a + b*phi."""
-        _, b, d = self.phi_ints()
-        return _fraction(b, d)
-
-    def field_norm(self) -> Fraction:
-        """Product with the Galois conjugate phi -> 1 - phi; rational, zero only at zero."""
-        a, b, d = self.phi_ints()
-        return _fraction(a * a + a * b - b * b, d * d)
-
-    def sqrt5_parts(self) -> tuple[Fraction, Fraction]:
-        """(p, q) with value p + q*sqrt5."""
-        a, b, d = self.phi_ints()
-        return (_fraction(2 * a + b, 2 * d), _fraction(b, 2 * d))
-
     def to_float(self) -> float:
         c0, c1, c2, c3, d = self._n
         # a + b*PHI_FLOAT for u and v, then u + v*SQRT_PHI_FLOAT: hulls see the same floats
@@ -262,7 +240,7 @@ class GoldenExt:
 
     def __repr__(self) -> str:
         c0, c1, c2, c3, d = self._n
-        u, v = (f"GoldenScalar({_fraction(a, d)!r}, {_fraction(b, d)!r})"
+        u, v = (f"GoldenScalar({_fraction_repr(a, d)}, {_fraction_repr(b, d)})"
                 for a, b in ((c0, c2), (c1, c3)))
         return f"GoldenExt({u}, {v})" if c1 or c3 else u
 
@@ -352,11 +330,10 @@ def coerce(x: object) -> GoldenExt:
     raise TypeError(f"cannot use {type(x).__name__} as a field element")
 
 
-def _fraction(n: int, d: int) -> Fraction:
-    """Fraction(n, d), for the calls that return one; nothing else loads fractions."""
-    from fractions import Fraction
-
-    return Fraction(n, d)
+def _fraction_repr(n: int, d: int) -> str:
+    """repr(Fraction(n, d)) for d > 0, written from the integers."""
+    g = gcd(n, d)
+    return f"Fraction({n // g}, {d // g})"
 
 
 def power(x, k: int, one):

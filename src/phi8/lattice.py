@@ -219,12 +219,14 @@ def _doubled_vertex_coords() -> tuple[Doubled, ...]:
 def e8_height_histogram() -> dict[int, int]:
     """Height distribution of E8 positive roots, derived from the root
     coordinates alone; independent oracle for the enumeration rule."""
+    from fractions import Fraction
+
     inv = build_srE8().inverse()
     inv_rows = []
     for row in inv.rows:
         if not all(e.is_rational() for e in row):
             raise AssertionError("rational basis produced an irrational inverse")
-        inv_rows.append([e.a for e in row])
+        inv_rows.append([Fraction(a, d) for a, _, d in (e.phi_ints() for e in row)])
     hist: dict[int, int] = {}
     for root in gen_e8_roots():
         coeffs = [

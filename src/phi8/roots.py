@@ -211,7 +211,6 @@ def summarize(records: list[RootRecord]) -> dict[str, object]:
     cum8 = sum(c for h, c in by_height.items() if h <= 8)
     return {
         "total": len(records),
-        "records": len(records),
         "max_height": max(by_height) if by_height else 0,
         "by_height": by_height,
         "cumulative": cumulative,

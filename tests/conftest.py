@@ -39,8 +39,8 @@ def random_exact_image(exact, rng, reflect):
     if reflect:
         Q = ExactMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]) * Q
     assert Q.transpose() * Q == I
-    den = lcm(*(x.a.denominator for row in Q for x in row))
-    num = [[int(x.a * den) for x in row] for row in Q]
+    den = lcm(*(x.phi_ints()[2] for row in Q for x in row))
+    num = [[a * den // d for a, _, d in (x.phi_ints() for x in row)] for row in Q]
     assert ExactMatrix(num) == Q * den
     p, q = rng.randint(1, 9), rng.randint(1, 9)
     # image[n][i] = p * sum_j num[i][j] * exact[n][j], on both parts of each pair

@@ -87,8 +87,8 @@ def test_criterion_03_power_laws():
         d = PHI ** n - PHI ** (-n)
         assert cmU ** n + cmU ** (-n) == I * s
         assert cmU ** n - cmU ** (-n) == J * d
-        sp, sq = s.sqrt5_parts()
-        dp, dq = d.sqrt5_parts()
+        sp, sq = sqrt5_parts(s)
+        dp, dq = sqrt5_parts(d)
         if n % 2 == 0:
             assert sq == 0 and sp.denominator == 1, f"n={n} sum not integer"
             assert dp == 0 and dq.denominator == 1, f"n={n} diff not m*sqrt5"
@@ -96,6 +96,12 @@ def test_criterion_03_power_laws():
             assert sp == 0 and sq.denominator == 1, f"n={n} sum not m*sqrt5"
             assert dq == 0 and dp.denominator == 1, f"n={n} diff not integer"
     print("CRITERION 3: PASS - power laws and parity alternation, n = 1..10")
+
+
+def sqrt5_parts(x):
+    """(p, q) with x = p + q*sqrt5: (a + b*phi)/e = (2a + b)/(2e) + b/(2e)*sqrt5."""
+    a, b, e = x.phi_ints()
+    return Fraction(2 * a + b, 2 * e), Fraction(b, 2 * e)
 
 
 def test_criterion_04_odd_power_forms():

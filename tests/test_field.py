@@ -65,11 +65,6 @@ class TestGoldenScalar:
         by_float = sorted(xs, key=lambda x: x.to_float())
         assert by_exact == by_float
 
-    def test_field_norm_multiplicative(self):
-        x = GoldenScalar(3, -2)
-        y = GoldenScalar(Fraction(1, 2), 5)
-        assert (x * y).field_norm() == x.field_norm() * y.field_norm()
-
     def test_inverse(self):
         x = GoldenScalar(Fraction(7, 3), Fraction(-2, 5))
         assert x * x.inverse() == ONE
@@ -80,15 +75,9 @@ class TestGoldenScalar:
         assert PHI ** -2 == (PHI * PHI).inverse()
         assert PHI ** 0 == ONE
 
-    def test_sqrt5_parts(self):
-        # phi = 1/2 + (1/2) sqrt5
-        assert PHI.sqrt5_parts() == (Fraction(1, 2), Fraction(1, 2))
-        assert SQRT5.sqrt5_parts() == (0, 1)
-        assert GoldenScalar(3).sqrt5_parts() == (3, 0)
-
     def test_immutability(self):
         with pytest.raises(AttributeError):
-            PHI.a = Fraction(2)
+            PHI._n = (2, 0, 0, 0, 1)
 
     def test_half(self):
         assert HALF + HALF == ONE
@@ -192,12 +181,13 @@ class TestOneType:
     def test_scalar_constructor_builds_a_plus_b_phi(self, a, b):
         s = GoldenScalar(a, b)
         assert s == a + b * PHI and hash(s) == hash(a + b * PHI)
-        assert (s.a, s.b) == (a, b)
+        d = math.lcm(a.denominator, b.denominator)
+        assert s.phi_ints() == (a * d, b * d, d)
 
     @given(st.builds(GoldenExt, scalars, scalars.filter(bool)))
     @settings(max_examples=150)
     def test_q_phi_queries_reject_sqrt_phi_part(self, x):
-        for query in (lambda: x.a, lambda: x.b, x.sqrt5_parts, x.field_norm):
+        for query in (x.phi_ints, lambda: sqrt5_form(x)):
             with pytest.raises(ValueError, match=r"sqrt\(phi\) component"):
                 query()
 
@@ -289,14 +279,21 @@ class TestRendering:
     @given(any_elements)
     @settings(max_examples=150)
     def test_rendering_matches_the_fraction_reference(self, x):
-        u, v = x.u, x.v
+        (ua, ub), (va, vb) = _fractions(x.u), _fractions(x.v)
         assert str(x) == _reference_terms(
-            [(u.a, ""), (u.b, "phi"), (v.a, "sqrt(phi)"), (v.b, "phi*sqrt(phi)")])
-        scalar = lambda s: f"GoldenScalar({s.a!r}, {s.b!r})"
-        assert repr(x) == (f"GoldenExt({scalar(u)}, {scalar(v)})" if v else scalar(u))
+            [(ua, ""), (ub, "phi"), (va, "sqrt(phi)"), (vb, "phi*sqrt(phi)")])
+        scalar = lambda a, b: f"GoldenScalar({a!r}, {b!r})"
+        assert repr(x) == (
+            f"GoldenExt({scalar(ua, ub)}, {scalar(va, vb)})" if x.v else scalar(ua, ub))
         if x.is_scalar():
             # a + b*phi = (a + b/2) + (b/2)*sqrt5
-            assert sqrt5_form(x) == _reference_terms([(x.a + x.b / 2, ""), (x.b / 2, "sqrt(5)")])
+            assert sqrt5_form(x) == _reference_terms([(ua + ub / 2, ""), (ub / 2, "sqrt(5)")])
+
+
+def _fractions(s: GoldenExt) -> tuple[Fraction, Fraction]:
+    """(a, b) of a value a + b*phi of Q(phi), as Fractions built from phi_ints."""
+    a, b, d = s.phi_ints()
+    return Fraction(a, d), Fraction(b, d)
 
 
 def _reference_terms(terms: list[tuple[Fraction, str]]) -> str:

@@ -27,9 +27,10 @@ exts = st.builds(GoldenExt, scalars, scalars)
 
 def to_poly(x: GoldenExt) -> sympy.Poly:
     """The coefficients of 1, a, a^2, a^3, read through the public API."""
-    coeffs = (x.v.b, x.u.b, x.v.a, x.u.a)  # a^3 first
+    (u0, u2, ud), (v1, v3, vd) = x.u.phi_ints(), x.v.phi_ints()
+    coeffs = ((v3, vd), (u2, ud), (v1, vd), (u0, ud))  # a^3 first
     return sympy.Poly.from_list(
-        [sympy.Rational(c.numerator, c.denominator) for c in coeffs], A, domain=sympy.QQ
+        [sympy.Rational(n, d) for n, d in coeffs], A, domain=sympy.QQ
     )
 
 

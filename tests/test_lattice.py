@@ -165,7 +165,7 @@ def hadamard_words() -> set[tuple[int, ...]]:
     """Sylvester Hadamard rows under (1 - s)/2, with their complements."""
     words = set()
     for row in build_hadamard(3).rows:
-        bits = tuple((1 - int(e.a)) // 2 for e in row)
+        bits = tuple((1 - e.phi_ints()[0]) // 2 for e in row)
         words.add(bits)
         words.add(tuple(1 - b for b in bits))
     return words

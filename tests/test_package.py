@@ -157,6 +157,32 @@ class TestImportCost:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["phi8.report"]
 
+    def test_field_views_load_no_fractions(self):
+        # a rational, a Q(phi) and a sqrt(phi) element; the last has no
+        # phi_ints or sqrt5_form, and its ValueError loads nothing either
+        proc = fresh_python(
+            "import sys\n"
+            "from phi8.field import PHI, SQRT_PHI, GoldenExt, sqrt5_form\n"
+            "for x in (GoldenExt(-3) / 4, (PHI - 2) / 6, (1 + SQRT_PHI) / 5):\n"
+            "    print(repr(x), str(x), sep='; ')\n"
+            "    try:\n"
+            "        print(x.phi_ints(), sqrt5_form(x), sep='; ')\n"
+            "    except ValueError:\n"
+            "        print('no rational view')\n"
+            f"print('loaded:', *(m for m in sys.modules if m in {FRACTIONS!r}))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "GoldenScalar(Fraction(-3, 4), Fraction(0, 1)); -3/4",
+            "(-3, 0, 4); -3/4",
+            "GoldenScalar(Fraction(-1, 3), Fraction(1, 6)); -1/3 + 1/6*phi",
+            "(-2, 1, 6); -1/4 + 1/12*sqrt(5)",
+            "GoldenExt(GoldenScalar(Fraction(1, 5), Fraction(0, 1)), "
+            "GoldenScalar(Fraction(1, 5), Fraction(0, 1))); 1/5 + 1/5*sqrt(phi)",
+            "no rational view",
+            "loaded:",
+        ]
+
     def test_from_phi8_import_hulls_loads_the_submodule(self):
         proc = fresh_python(
             "import sys, phi8\n"
@@ -197,13 +223,11 @@ class TestPackageApi:
         # perfbench/tracer.py counts reports by patching the class's own __init__
         assert "__init__" in vars(report.IdentityReport)
 
-    def test_rational_queries_return_fractions(self):
-        # Fraction stays the API's rational type, built only where returned
+    def test_e8_roots_are_fractions(self):
+        # gen_e8_roots is the one query that returns Fractions, built where returned
         from fractions import Fraction
 
-        x = phi8.GoldenScalar(Fraction(1, 2), 3)
-        values = [x.a, x.b, x.field_norm(), *x.sqrt5_parts(), *phi8.gen_e8_roots()[0]]
-        assert all(type(v) is Fraction for v in values)
+        assert all(type(v) is Fraction for v in phi8.gen_e8_roots()[0])
 
     def test_unknown_attribute_names_it(self):
         with pytest.raises(AttributeError, match="no_such_name"):
