@@ -54,11 +54,17 @@ def _norm_parts(c0: int, c1: int, c2: int, c3: int) -> tuple[int, int]:
             2 * c0 * c2 + c2 * c2 - c1 * c1 - t - c3 * c3)
 
 
+def _frozen(self, name: str, value: object = None) -> None:
+    """``__setattr__`` and ``__delattr__`` of an immutable type."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 @total_ordering
 class GoldenExt:
     """u + v*sqrt(phi) with u, v in Q(phi); (sqrt phi)^2 = phi."""
 
     __slots__ = ("_n",)
+    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, u: FieldLike = 0, v: FieldLike = 0) -> None:
         u, v = coerce(u), coerce(v)
@@ -67,9 +73,6 @@ class GoldenExt:
             v0, _, v2, _, vd = v.scalar_part()._n
             u = _make(u0 * vd, v0 * ud, u2 * vd, v2 * ud, ud * vd)
         _set_n(self, u._n)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GoldenExt is immutable")
 
     def __getstate__(self) -> tuple[int, int, int, int, int]:
         return self._n

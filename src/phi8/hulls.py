@@ -12,21 +12,21 @@ All of it is plain Python ints, tuples and dicts.  Every test that
 shapes a layer is exact on the pairs: the affine rank that ends a peel,
 each hull's faces and so its members, and edge equality (one squared
 length for every edge).  The hull is gift wrapped (Chand & Kapur 1970):
-one fold over the cloud per open edge, in which a point takes over only
-if it lies strictly in front of the plane so far.  The points left on
-the final plane hold every point of the face off the edge's line, and
-every face is marched exactly over them, corner by corner: the next
-corner first, then the farthest.  Every face is listed outward.
-Floats decide nothing; they give only the OBJ vertices and the printed
-edge spread.
+one fold over the rows still in play per open edge, in which a point
+takes over only if it lies strictly in front of the plane so far.  The
+points left on the final plane hold every point of the face off the
+edge's line, and every face is marched exactly over them, corner by
+corner: the next corner first, then the farthest.  Every face is listed
+outward.  Floats decide nothing; they give only the OBJ vertices and the
+printed edge spread.
 
-A peel wraps one open edge per orbit (Bremner, Dutour Sikirić &
-Schürmann 2009).  A cloud's group, the signed coordinate permutations
-that map its exact rows onto themselves, is found once and maps every
-layer onto itself; a moved cloud has only the identity.  A face that a
-wrap finds, triangle or polygon, brings its images, a reflection's
-reversed to face outward.  A hull's faces are sorted, each from its
-least row.
+A peel works in the cloud's own rows and wraps one open edge per orbit
+(Bremner, Dutour Sikirić & Schürmann 2009).  A cloud's group, the
+signed coordinate permutations that map its exact rows onto themselves,
+is found once and maps every layer onto itself, row for row; a moved
+cloud has only the identity.  A face that a wrap finds brings its
+images, a reflection's reversed to face outward.  A hull's faces are
+sorted, each from its least row, whatever the order of the cloud.
 
 ``peel_hulls`` is the one peel, and both ``analyze`` (``project
 --dims``) and ``tally_all`` (``project --all``) call it.  A
@@ -52,7 +52,7 @@ from operator import itemgetter, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .constants import BASIS_BUILDERS, build_cmU
-from .field import ONE, SQRT_PHI, GoldenExt, _sign_q_phi
+from .field import ONE, SQRT_PHI, GoldenExt, _frozen, _sign_q_phi
 from .roots import EnumerationRule, enumerate_roots, signed_images
 
 ExactPoint = tuple[GoldenExt, ...]
@@ -60,10 +60,6 @@ Pair = tuple[int, int]  # (a, b) for a + b*phi
 Row = tuple[int, ...]  # a point or vector as six ints: (a0, b0, a1, b1, a2, b2)
 FloatPoint = tuple[float, float, float]
 Symmetry = tuple[list[int], bool]  # a row map g (row i goes to row g[i]), and if it reflects
-
-
-def _frozen(self, name, value=None):
-    raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class CoordinateIndex(NamedTuple):
@@ -204,18 +200,19 @@ def _plane(t: Row, u: Row, origin: Row) -> tuple[Row, tuple[int, ...]]:
     return n, (*s, sum(map(mul, s, origin)), *v, sum(map(mul, v, origin)))
 
 
-def _fold(z: Sequence[Row], o: int, t: Row, d: int) -> tuple[int, Row, list[int]]:
-    """Wrap the line through z[o] along t, from the point d off it: the d
-    with no point in front of the plane through z[o] spanned by t and
-    z[d] - z[o], that plane's normal t x (z[d] - z[o]), and the points on
-    it met after d, the line's own included.  All points must lie within
-    less than a half-turn around the line, so one pass finds the last
-    plane: a point takes over only if it lies strictly in front."""
+def _fold(z: Sequence[Row], alive: list[int], o: int, t: Row, d: int) -> tuple[int, Row, list[int]]:
+    """Wrap the line through z[o] along t, from the point d off it, over the
+    rows ``alive``: the d with none of them in front of the plane through
+    z[o] spanned by t and z[d] - z[o], that plane's normal t x (z[d] - z[o]),
+    and the rows on it met after d, the line's own included.  All of them
+    must lie within less than a half-turn around the line, so one pass finds
+    the last plane: a point takes over only if it lies strictly in front."""
     origin = z[o]
     n, side = _plane(t, _sub(z[d], origin), origin)
     p0, p1, p2, p3, p4, p5, pc, q0, q1, q2, q3, q4, q5, qc = side
     on = []
-    for i, (x0, y0, x1, y1, x2, y2) in enumerate(z):
+    for i in alive:
+        x0, y0, x1, y1, x2, y2 = z[i]
         s = p0 * x0 + p1 * y0 + p2 * x1 + p3 * y1 + p4 * x2 + p5 * y2 - pc
         v = q0 * x0 + q1 * y0 + q2 * x1 + q3 * y1 + q4 * x2 + q5 * y2 - qc
         if s <= 0 and v <= 0:
@@ -244,10 +241,10 @@ def _corner(z: Sequence[Row], o: int, n: Row, cands: Sequence[int]) -> int:
     return best
 
 
-def _wrap(z: Sequence[Row], o: int, t: Row, d: int) -> tuple[int, Row, list[int]]:
-    """The hull corner next to z[o] across the line through it along t,
-    folded from d, with the plane's normal and its points off that line."""
-    d, n, on = _fold(z, o, t, d)
+def _wrap(z: Sequence[Row], alive: list[int], o: int, t: Row, d: int) -> tuple[int, Row, list[int]]:
+    """The hull corner next to z[o] across the line through it along t, folded
+    from d over the rows ``alive``, with the plane's normal and its rows off that line."""
+    d, n, on = _fold(z, alive, o, t, d)
     plane = [d, *(e for e in on if e != d and any(_cross(t, _sub(z[e], z[o]))))]
     return _corner(z, o, n, plane), n, plane
 
@@ -266,6 +263,10 @@ def _face(z: Sequence[Row], a: int, b: int, d: int, n: Row, plane: list[int]) ->
         ring.append(nxt)
 
 
+# the six orders of three columns, each with whether it is odd, a reflection
+_ORDERS = [(p, (p[1] - p[0]) * (p[2] - p[0]) * (p[2] - p[1]) < 0) for p in permutations(range(3))]
+
+
 def _symmetries(z: Sequence[Row]) -> list[Symmetry]:
     """The signed permutations of the three coordinates that map the rows
     onto themselves, the identity included."""
@@ -273,36 +274,37 @@ def _symmetries(z: Sequence[Row]) -> list[Symmetry]:
     signed = [{1: c, -1: [(-a, -b) for a, b in c]} for c in columns]
     at = {p: i for i, p in enumerate(zip(*columns))}
     group = []
-    for i, j, k in permutations(range(3)):
+    for (i, j, k), odd in _ORDERS:
         for r, s, t in product((1, -1), repeat=3):
             x, y, w = signed[i][r], signed[j][s], signed[k][t]
             if (x[0], y[0], w[0]) not in at:  # most fail at once
                 continue
             g = list(map(at.get, zip(x, y, w)))
             if None not in g:
-                group.append((g, (j - i) * (k - i) * (k - j) * r * s * t < 0))
+                group.append((g, odd != (r * s * t < 0)))
     return group
 
 
-def _hull(z: Sequence[Row], group: Iterable[Symmetry]) -> list[tuple[int, ...]]:
-    """The outward faces of the hull of a solid cloud whose first row is its
-    lexicographic minimum, sorted, each from its least row, by gift wrapping
-    one open edge per orbit: ``group`` maps the rows onto themselves, and
-    each face a wrap finds brings its images."""
-    # every other point lies beside or above the vertical line through row
-    # 0, so wrapping that line as if it were an edge ending at row 0 gives
-    # a hull edge 0 -> q
-    start = next(i for i, p in enumerate(z) if p[:4] != z[0][:4])
-    q = _wrap(z, 0, (0, 0, 0, 0, -1, 0), start)[0]
-    t = _sub(z[q], z[0])
-    todo = [(0, q, next(i for i, p in enumerate(z) if any(_cross(t, _sub(p, z[q])))))]
+def _hull(z: Sequence[Row], alive: list[int], group: Iterable[Symmetry]) -> list[tuple[int, ...]]:
+    """The outward faces of the hull of the solid cloud of rows ``alive``,
+    whose first is its lexicographic minimum, sorted, each from its least
+    row, by gift wrapping one open edge per orbit: ``group`` maps those
+    rows onto themselves, and each face a wrap finds brings its images."""
+    # every other point lies beside or above the vertical line through
+    # the first, so wrapping that line as if it were an edge ending there
+    # gives a hull edge o -> q
+    o = alive[0]
+    start = next(i for i in alive if z[i][:4] != z[o][:4])
+    q = _wrap(z, alive, o, (0, 0, 0, 0, -1, 0), start)[0]
+    t = _sub(z[q], z[o])
+    todo = [(o, q, next(i for i in alive if any(_cross(t, _sub(z[i], z[q])))))]
     closed: set[tuple[int, int]] = set()  # the directed edges (u, v) of the faces found
     faces = []
     while todo:
         a, b, d = todo.pop()  # wrap the face on the edge a -> b from d
         if (a, b) in closed:
             continue
-        face = _face(z, a, b, *_wrap(z, b, _sub(z[b], z[a]), d))
+        face = _face(z, a, b, *_wrap(z, alive, b, _sub(z[b], z[a]), d))
         # the face and its images; a reflection's image is reversed to face outward
         for f in [face, *([g[c] for c in (face[::-1] if odd else face)] for g, odd in group)]:
             if (f[0], f[1]) in closed:  # an image found before, e.g. by a stabiliser
@@ -423,28 +425,23 @@ def peel_hulls(pts: Sequence[FloatPoint], exact: Sequence[Sequence[Pair]]) -> li
     equality.
     """
     z = _rows(exact)
-    # in exact lexicographic order every rest starts at a hull vertex; a
-    # projection's rows are in that order already
-    order = sorted(range(len(z)), key=cmp_to_key(lambda i, j: _lex(z[i], z[j])))
-    # each layer, and so each rest, is mapped onto itself by the cloud's group
+    # the rows still in play stay in exact lexicographic order, so every rest
+    # starts at a hull vertex; a projection's rows are in that order already
+    alive = sorted(range(len(z)), key=cmp_to_key(lambda i, j: _lex(z[i], z[j])))
+    # the cloud's group maps each layer, and so each rest, onto itself
     group = _symmetries(z)
     layers = []
-    while order:
-        rest = [z[i] for i in order]
-        rank = _affine_rank(rest)
+    while alive:
+        rank = _affine_rank([z[i] for i in alive])
         if rank < 3:
             label = ("point", "collinear", "coplanar")[rank]
-            layers.append(HullLayer(f"{label}(v={len(order)})" if rank else label, pts, order, (), ()))
+            layers.append(HullLayer(f"{label}(v={len(alive)})" if rank else label, pts, alive, (), ()))
             break
-        at = {i: k for k, i in enumerate(order)}  # row i of the cloud is row at[i] of the rest
-        faces = _hull(rest, [(list(map(at.__getitem__, map(g.__getitem__, order))), odd)
-                             for g, odd in group])
+        faces = tuple(_hull(z, alive, group))
         vertices = {i for f in faces for i in f}
-        faces = tuple(tuple(order[i] for i in f) for f in faces)
         ends = tuple(_edges(faces))
-        layers.append(HullLayer(_classify(z, len(vertices), ends), pts,
-                                [order[i] for i in vertices], faces, ends))
-        order = [i for k, i in enumerate(order) if k not in vertices]
+        layers.append(HullLayer(_classify(z, len(vertices), ends), pts, vertices, faces, ends))
+        alive = [i for i in alive if i not in vertices]
     return layers
 
 
@@ -504,10 +501,8 @@ def tally_all(vset: VertexSet) -> list[HullReport]:
             layers = [_MappedLayer(layer, pts, at, odd) for layer in layers]
         else:
             layers = peel_hulls(pts, vset.index.exact(keys))
-            for perm in permutations(range(3)):
+            for perm, odd in _ORDERS:
                 moved = list(map(itemgetter(*perm), keys))
-                # an odd column order is a reflection: it turns faces inside out
-                odd = (perm[1] - perm[0]) * (perm[2] - perm[0]) * (perm[2] - perm[1]) < 0
                 peeled.setdefault(frozenset(moved), (layers, moved, odd))
         reports.append(HullReport(proj.dims, len(keys), tuple(layers)))
     return reports

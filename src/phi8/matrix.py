@@ -15,7 +15,7 @@ from math import prod
 from operator import add, sub
 from typing import Callable, Iterable, Sequence
 
-from .field import ONE, ZERO, FieldLike, GoldenExt, coerce, matmul, parse_scalar, power
+from .field import ONE, ZERO, FieldLike, GoldenExt, _frozen, coerce, matmul, parse_scalar, power
 
 
 class SingularMatrixError(ValueError):
@@ -30,6 +30,7 @@ class ExactMatrix:
     """Immutable square matrix over GoldenExt; keeps its inverse and square."""
 
     __slots__ = ("n", "rows", "_inverse", "_square")
+    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, rows: Iterable[Iterable[FieldLike]]) -> None:
         converted = tuple(tuple(map(coerce, row)) for row in rows)
@@ -45,9 +46,6 @@ class ExactMatrix:
         for slot, value in zip(self.__slots__, (len(rows), rows, None, None)):
             object.__setattr__(self, slot, value)
         return self
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ExactMatrix is immutable")
 
     def __reduce__(self):
         return type(self), (self.rows,)
@@ -218,14 +216,12 @@ class CharPoly:
     """Monic characteristic polynomial, coefficients degree-descending."""
 
     __slots__ = ("coeffs",)
+    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, coeffs: tuple[GoldenExt, ...]) -> None:
         if not coeffs or coeffs[0] != ONE:
             raise ValueError("characteristic polynomial must be monic")
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("CharPoly is immutable")
 
     def __reduce__(self):
         return type(self), (self.coeffs,)

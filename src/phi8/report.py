@@ -27,8 +27,10 @@ class IdentityReport:
         for slot, value in zip(self.__slots__, values):
             object.__setattr__(self, slot, value)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("IdentityReport is immutable")
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, slot) for slot in self.__slots__)

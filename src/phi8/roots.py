@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .field import GoldenExt
+from .field import GoldenExt, _frozen
 from .matrix import ExactMatrix
 
 MODES = ("normalized-pairing", "raw-pairing", "pair-coupling")
@@ -28,6 +28,7 @@ MAX_ROOTS = 10_000
 
 class EnumerationRule:
     __slots__ = ("mode", "max_height", "max_roots")
+    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, mode: str = "normalized-pairing", max_height: int = 10,
                  max_roots: int = MAX_ROOTS) -> None:
@@ -37,7 +38,11 @@ class EnumerationRule:
             raise ValueError("max_height must be at least 1")
         if max_roots < 1:
             raise ValueError("max_roots must be at least 1")
-        self.mode, self.max_height, self.max_roots = mode, max_height, max_roots
+        for slot, value in zip(self.__slots__, (mode, max_height, max_roots)):
+            object.__setattr__(self, slot, value)
+
+    def __reduce__(self):
+        return type(self), (self.mode, self.max_height, self.max_roots)
 
 
 class RootRecord(NamedTuple):

@@ -203,6 +203,26 @@ class TestFixtures:
         assert layers[0].edge_count == 12
         assert sorted(map(len, layers[0].faces)) == [4] * 6
 
+    def test_shuffled_cloud_keeps_its_rows(self):
+        # a 3 x 2 x 3 grid peels to two boxes of 6 faces and a segment; in
+        # any row order each face starts at its least row, the faces are
+        # sorted, and the layers are the sorted grid's, row for row
+        grid = sorted(integers(product((-1, 0, 2), (-2, 1), (0, 3, -1))))
+        order = list(range(len(grid)))
+        random.Random(3).shuffle(order)  # row k of the shuffled cloud is row order[k] of the grid
+        want = peel_hulls(*cloud(grid))
+        got = peel_hulls(*cloud([grid[k] for k in order]))
+        assert [l.classification for l in want] == ["other(v=8)", "other(v=8)", "collinear(v=2)"]
+        assert sum(len(l.faces) for l in got) == 12
+        for g, w in zip(got, want, strict=True):
+            assert all(f[0] == min(f) for f in g.faces)
+            assert list(g.faces) == sorted(g.faces)
+            assert g.classification == w.classification
+            assert sorted(order[i] for i in g.members) == list(w.members)
+            moved = [tuple(order[i] for i in f) for f in g.faces]
+            assert sorted(f[f.index(min(f)):] + f[:f.index(min(f))] for f in moved) == list(w.faces)
+            assert sorted(tuple(sorted((order[a], order[b]))) for a, b in g.ends) == list(w.ends)
+
     def test_collinear(self):
         layers = peel_hulls(*cloud(integers([[t, 2 * t, -t] for t in range(5)])))
         assert layers == [layers[0]]
@@ -433,9 +453,9 @@ class TestPeelBookkeeping:
         wrap = hulls._hull
         seen, peeled = [], []
 
-        def recorded(z, *args):
-            peeled.append((z, wrap(z, *args)))
-            return peeled[-1][1]
+        def recorded(z, alive, group):
+            peeled.append((z, alive, wrap(z, alive, group)))
+            return peeled[-1][2]
 
         def square(p, q):
             d = [x - y for x, y in zip(p, q)]
@@ -449,10 +469,11 @@ class TestPeelBookkeeping:
             rest = list(range(len(exact)))  # the projection's rows that each hull is given
             layers = analyze(vsets[basis], dims).layers
             assert len(layers) - len(peeled) in (0, 1), dims
-            for layer, (z, tri) in zip(layers, peeled):
-                assert z == hulls._rows(vsets[basis].index.exact(proj.keys[r] for r in rest)), dims
+            for layer, (z, alive, tri) in zip(layers, peeled):
+                assert [z[i] for i in alive] == \
+                    hulls._rows(vsets[basis].index.exact(proj.keys[r] for r in rest)), dims
                 assert all(len(t) == 3 for t in tri), dims  # every face here is a triangle
-                points = [proj.float_points[r] for r in rest]
+                points = proj.float_points
                 edges = sorted({e for t in tri for e in combinations(sorted(t), 2)})
                 assert hulls._edges(tri) == edges
                 lengths = [fused_length(points[i], points[j]) for i, j in edges]
@@ -460,7 +481,7 @@ class TestPeelBookkeeping:
                 degree = Counter(v for e in edges for v in e)
                 vertices = sorted(degree)
                 nv, ne = len(vertices), len(edges)
-                equal = lambda: len({square(exact[rest[i]], exact[rest[j]]) for i, j in edges}) == 1
+                equal = lambda: len({square(exact[i], exact[j]) for i, j in edges}) == 1
                 if nv == 6 and ne == 12 and equal():
                     label = "regular octahedron"
                 elif nv == 12 and ne == 30 and all(degree[v] == 5 for v in vertices):
@@ -470,7 +491,7 @@ class TestPeelBookkeeping:
                 got = (layer.classification, layer.vertex_count, layer.edge_count, layer.edge_spread)
                 assert got == (label, nv, ne, spread), dims
                 seen.append(label)
-                rest = [r for k, r in enumerate(rest) if k not in degree]
+                rest = [r for r in rest if r not in degree]
         assert len(seen) == {"U": 524, "cmU": 1200}[basis]
         assert len(set(seen)) >= 3
 

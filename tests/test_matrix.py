@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from phi8.constants import build_cmU, build_hadamard, build_J, build_U, build_U_inv
 from phi8.field import PHI, SQRT5, SQRT_PHI, GoldenExt, GoldenScalar
 from phi8.matrix import CharPoly, ExactMatrix, SingularMatrixError
+from phi8.report import IdentityReport
 
 small_entries = st.integers(min_value=-4, max_value=4)
 
@@ -50,6 +51,17 @@ class TestBasics:
             J.rows = ()
         with pytest.raises(TypeError):
             J[0][0] = 1
+
+    def test_attributes_cannot_be_deleted(self):
+        # the builders are cached: one deleted attribute would break every later caller
+        values = [(build_U(), "rows"), (PHI, "_n"), (build_U().char_poly(), "coeffs"),
+                  (IdentityReport("x", True), "holds")]
+        for value, name in values:
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(value, name)
+            assert hasattr(value, name)
+        assert len(build_U().rows) == 8
+        assert build_U() * build_U_inv() == ExactMatrix.identity(8)
 
 
 class TestCopyAndPickle:

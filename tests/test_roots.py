@@ -1,4 +1,6 @@
 """Root enumeration: classical Cartan matrices, the golden matrix, and modes."""
+import copy
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from phi8.lattice import e8_height_histogram
 from phi8.matrix import ExactMatrix
 from phi8.roots import (
     E8_POSITIVE_COUNT,
+    MAX_ROOTS,
     MODES,
     EnumerationRule,
     emit_csv,
@@ -147,6 +150,20 @@ class TestModesAndRecords:
             EnumerationRule(max_height=0)
         with pytest.raises(ValueError):
             EnumerationRule(max_roots=0)
+
+    def test_rule_is_immutable(self):
+        # a rule is validated once, so no field may change or vanish afterwards
+        rule = EnumerationRule(max_height=3)
+        for name, value in [("mode", "nonsense"), ("max_height", 0), ("max_roots", 0)]:
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(rule, name, value)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(rule, name)
+        fields = lambda r: (r.mode, r.max_height, r.max_roots)
+        assert fields(rule) == ("normalized-pairing", 3, MAX_ROOTS)
+        assert len(enumerate_roots(A3, rule)) == 6
+        for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            assert fields(clone(rule)) == fields(rule)
 
     def test_max_roots_bounds_the_enumeration(self):
         # E8 has exactly 120 positive roots: the cap may equal the count
