@@ -40,7 +40,8 @@ faces, edges and labels carry over, and each spread, computed on the
 triple's own floats, has the bits of a direct peel; an odd column order
 is a reflection, so the mapped faces are reversed to face outward.  A
 mapped layer keeps the peeled layer, the row map and its parity, and
-builds its index tuples when read.
+builds its index tuples when read, its faces sorted and each from its
+least row, as a peel gives them.
 """
 from __future__ import annotations
 
@@ -309,12 +310,17 @@ def _hull(z: Sequence[Row], alive: list[int], group: Iterable[Symmetry]) -> list
         for f in [face, *([g[c] for c in (face[::-1] if odd else face)] for g, odd in group)]:
             if (f[0], f[1]) in closed:  # an image found before, e.g. by a stabiliser
                 continue
-            k = f.index(min(f))
-            faces.append(tuple(f[k:] + f[:k]))  # least corner first
+            faces.append(_least_first(f))
             for u, v, w in zip(f, f[1:] + f[:1], f[2:] + f[:2]):
                 closed.add((u, v))
                 todo.append((v, u, w))
     return sorted(faces)
+
+
+def _least_first(face: list[int]) -> tuple[int, ...]:
+    """The face's corners turned round to start at its least row."""
+    k = face.index(min(face))
+    return tuple(face[k:] + face[:k])
 
 
 def _edges(faces: Iterable[tuple[int, ...]]) -> list[tuple[int, int]]:
@@ -393,7 +399,8 @@ class HullLayer:
 class _MappedLayer(HullLayer):
     """A peeled layer carried onto another cloud: its row i is row ``at[i]``
     here, and an odd map, a reflection, reverses the faces.  Its index
-    tuples are mapped when read."""
+    tuples are mapped when read, its faces in a peel's form: sorted, each
+    from its least row."""
 
     def __init__(self, peeled: HullLayer, cloud: Sequence[FloatPoint], at: Sequence[int],
                  odd: bool) -> None:
@@ -410,7 +417,8 @@ class _MappedLayer(HullLayer):
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         at = self.at
-        return tuple(tuple(at[i] for i in (f[::-1] if self.odd else f)) for f in self.peeled.faces)
+        return tuple(sorted(_least_first([at[i] for i in (f[::-1] if self.odd else f)])
+                            for f in self.peeled.faces))
 
     @cached_property
     def ends(self) -> tuple[tuple[int, int], ...]:

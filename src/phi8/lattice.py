@@ -2,9 +2,9 @@
 
 Everything here is exact: roots are doubled integer vectors, one cached
 sorted list, and ``gen_e8_roots`` alone halves them into Fraction tuples;
-codewords are bit tuples; and the Construction A lattice carries the
-1/sqrt2 scaling as a squared factor, so its Gram matrix is the integer
-B*B^T halved.  The contact count and the inner-product histogram share
+codewords are bit tuples of one cached code; and the Construction A
+lattice carries the 1/sqrt2 scaling as a squared factor, so its Gram
+matrix is the integer B*B^T halved.  The contact count and the inner-product histogram share
 one integer pair Gram per vector list.
 Each ``CHECK_GROUPS`` entry is a ``phi8 lattice --check`` group: a
 function that returns its ``IdentityReport`` values directly.
@@ -107,6 +107,7 @@ class Hamming84(NamedTuple):
         return all(sum(w) % 4 == 0 for w in self.codewords)
 
 
+@cache
 def hamming84() -> Hamming84:
     gen = (
         (1, 0, 0, 0, 0, 1, 1, 1),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cache
 from math import prod
 from operator import add, sub
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .field import ONE, ZERO, FieldLike, GoldenExt, _frozen, coerce, matmul, parse_scalar, power
 
@@ -212,35 +212,19 @@ def _computed(rows: Iterable[Iterable[GoldenExt]]) -> ExactMatrix:
     return object.__new__(ExactMatrix)._fill(tuple(map(tuple, rows)))
 
 
-class CharPoly:
+class CharPoly(NamedTuple):
     """Monic characteristic polynomial, coefficients degree-descending."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[GoldenExt, ...]
+
     __setattr__ = __delattr__ = _frozen
-
-    def __init__(self, coeffs: tuple[GoldenExt, ...]) -> None:
-        if not coeffs or coeffs[0] != ONE:
-            raise ValueError("characteristic polynomial must be monic")
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __reduce__(self):
-        return type(self), (self.coeffs,)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CharPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def is_palindromic(self) -> bool:
-        n = self.degree
-        return all(self.coeffs[i] == self.coeffs[n - i] for i in range(n + 1))
+        return self.coeffs == self.coeffs[::-1]
 
     def rescaled(self, denom_sq: FieldLike) -> "CharPoly":
         """Characteristic polynomial of A/s given this one for A, s^2 = denom_sq.

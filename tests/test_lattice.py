@@ -122,6 +122,10 @@ class TestHamming:
         identity = [tuple(int(i == j) for j in range(4)) for i in range(4)]
         assert [row[:4] for row in hamming84().generator] == identity
 
+    def test_built_once(self):
+        # an immutable builder: every check of one `phi8 lattice` shares one code
+        assert hamming84() is hamming84()
+
     def test_closed_under_addition(self):
         words = set(hamming84().codewords)
         for u in words:

@@ -199,8 +199,8 @@ class TestModesAndRecords:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_record_per_root(self, mode):
-        # pair-coupling reaches 242,706 roots by height 30, above the default cap
-        rule = EnumerationRule(mode=mode, max_height=30, max_roots=250_000)
+        # D5's 20 roots in both pairing modes; 607 pair-coupling roots by height 8
+        rule = EnumerationRule(mode=mode, max_height=8)
         recs = enumerate_roots(D5_SCALED, rule)
         keys = [(r.height, r.coeffs) for r in recs]
         assert keys == sorted(set(keys))
