@@ -50,15 +50,12 @@ def _out_path(path: str) -> Path:
     return p
 
 
-def _emit_reports(reports, as_json: bool, keys: tuple[str, ...] | None = None) -> int:
-    """Write the reports as JSON (optionally only ``keys``) or as text lines."""
+def _emit_reports(reports, as_json: bool) -> int:
+    """Write the reports as a JSON list of their to_dict() or as text lines."""
     from .report import exit_code
 
     if as_json:
-        dicts = [r.to_dict() for r in reports]
-        if keys:
-            dicts = [{k: d[k] for k in keys} for d in dicts]
-        sys.stdout.write(_json_dump(dicts))
+        sys.stdout.write(_json_dump([r.to_dict() for r in reports]))
     else:
         sys.stdout.write("\n".join(r.line() for r in reports) + "\n")
     return exit_code(reports)
@@ -85,27 +82,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_powers(args: argparse.Namespace) -> int:
     from . import identities
-    from .report import exit_code
 
     n = args.n
     reports = identities.verify_power_pattern(n)
-    sum_scalar, diff_scalar = (rep.details["scalar"] for rep in reports[:2])
-    if args.json:
-        payload = {
-            "n": n,
-            "sum_scalar": sum_scalar,
-            "diff_scalar": diff_scalar,
-            "reports": [r.to_dict() for r in reports],
-        }
-        sys.stdout.write(_json_dump(payload))
-    else:
-        lines = [
-            f"cmU^{n} + cmU^-{n} = ({sum_scalar}) * I",
-            f"cmU^{n} - cmU^-{n} = ({diff_scalar}) * J",
-            *(r.line() for r in reports),
-        ]
-        sys.stdout.write("\n".join(lines) + "\n")
-    return exit_code(reports)
+    if not args.json:
+        sum_scalar, diff_scalar = (rep.details["scalar"] for rep in reports[:2])
+        sys.stdout.write(f"cmU^{n} + cmU^-{n} = ({sum_scalar}) * I\n"
+                         f"cmU^{n} - cmU^-{n} = ({diff_scalar}) * J\n")
+    return _emit_reports(reports, args.json)
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
@@ -149,7 +133,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 
     groups = lattice.CHECK_GROUPS if args.check == "all" else (args.check,)
     reports = [r for g in groups for r in lattice.CHECK_GROUPS[g]()]
-    return _emit_reports(reports, args.json, ("name", "holds", "details"))
+    return _emit_reports(reports, args.json)
 
 
 def _parse_dims(text: str) -> tuple[int, int, int]:

@@ -1,11 +1,12 @@
 """E8 root system, the (8,4) extended Hamming code, and their gluing.
 
 Everything here is exact: roots are doubled integer vectors, one cached
-sorted list, and ``gen_e8_roots`` alone halves them into Fraction tuples;
-codewords are bit tuples of one cached code; and the Construction A
-lattice carries the 1/sqrt2 scaling as a squared factor, so its Gram
-matrix is the integer B*B^T halved.  The contact count and the inner-product histogram share
-one integer pair Gram per vector list.
+sorted list, and only ``gen_e8_roots`` and the test oracle
+``e8_height_histogram`` build Fractions; codewords are bit tuples of one
+cached code; and the Construction A lattice carries the 1/sqrt2 scaling
+as a squared factor, so its Gram matrix is the integer B*B^T halved.
+The contact count and the inner-product histogram share one integer
+pair Gram per vector list.
 Each ``CHECK_GROUPS`` entry is a ``phi8 lattice --check`` group: a
 function that returns its ``IdentityReport`` values directly.
 """

@@ -16,6 +16,7 @@ Every root list holds one record per root; event_listing gives one row per event
 """
 from __future__ import annotations
 
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 from .field import GoldenExt, _frozen
@@ -172,25 +173,19 @@ def hasse_edges(records: list[RootRecord]) -> list[tuple[int, int, int]]:
 def emit_hasse_dot(records: list[RootRecord]) -> str:
     """Graphviz DOT of the Hasse diagram, layered by height.
 
-    Nodes are named r<height>_<k> with k the lexicographic position of
-    the root inside its height layer.
+    Records must come in enumerate_roots order, by height and then by
+    coeffs: nodes are named r<height>_<k> with k the position of the
+    root inside its height layer.
     """
-    names: dict[tuple[int, ...], str] = {}
-    per_height: dict[int, int] = {}
-    for r in records:
-        k = per_height.get(r.height, 0)
-        per_height[r.height] = k + 1
-        names[r.coeffs] = f"r{r.height}_{k}"
+    names: list[str] = []
     lines = ["digraph hasse {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
-    for h in sorted(per_height):
-        members = [r for r in records if r.height == h]
-        decls = " ".join(
-            f'{names[r.coeffs]} [label="{" ".join(str(c) for c in r.coeffs)}"];'
-            for r in members
-        )
-        lines.append(f"  {{ rank=same; {decls} }}")
-    for pi, ci, _ in hasse_edges(records):
-        lines.append(f"  {names[records[pi].coeffs]} -> {names[records[ci].coeffs]};")
+    for h, layer in groupby(records, key=lambda r: r.height):
+        decls = []
+        for k, r in enumerate(layer):
+            names.append(f"r{h}_{k}")
+            decls.append(f'{names[-1]} [label="{" ".join(str(c) for c in r.coeffs)}"];')
+        lines.append(f"  {{ rank=same; {' '.join(decls)} }}")
+    lines += [f"  {names[pi]} -> {names[ci]};" for pi, ci, _ in hasse_edges(records)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -220,7 +215,6 @@ def summarize(records: list[RootRecord]) -> dict[str, object]:
         "by_height": by_height,
         "cumulative": cumulative,
         "cumulative_through_8": cum8,
-        "distinct_coeff_count": len(records),
         "distinct_weight_count": len({r.weight for r in records}),
         "weights_all_integer": all(w.is_integer() for r in records for w in r.weight),
         "e8_reference": E8_POSITIVE_COUNT,

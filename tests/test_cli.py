@@ -63,12 +63,6 @@ class TestPowers:
         assert "(7) * I" in out
         assert "(3*sqrt(5)) * J" in out
 
-    def test_json(self, capsys):
-        code, out = run_cli(capsys, "powers", "-n", "2", "--json")
-        payload = json.loads(out)
-        assert payload["sum_scalar"] == "3"
-        assert payload["diff_scalar"] == "sqrt(5)"
-
     def test_bad_n_exits_two(self, capsys):
         code, _ = run_cli(capsys, "powers", "-n", "0")
         assert code == 2
@@ -193,14 +187,6 @@ class TestLattice:
         assert code == 0
         assert "FAIL" not in out
 
-    def test_single_check_json(self, capsys):
-        code, out = run_cli(capsys, "lattice", "--check", "hamming", "--json")
-        payload = json.loads(out)
-        assert all(entry["holds"] for entry in payload)
-        names = {entry["name"] for entry in payload}
-        assert "hamming_weight_enumerator" in names
-        assert all(set(entry) == {"name", "holds", "details"} for entry in payload)
-
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         fake = [IdentityReport("broken_lattice", False)]
         monkeypatch.setitem(lattice.CHECK_GROUPS, "hamming", lambda: fake)
@@ -216,6 +202,28 @@ class TestLattice:
             per_check.extend(out.splitlines())
         code, out = run_cli(capsys, "lattice")
         assert per_check == out.splitlines()
+
+
+class TestReportJson:
+    """Every report command prints one JSON shape: a list of IdentityReport.to_dict()."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (("verify", "--json"), "golden_cartan_difference"),
+        (("lattice", "--json"), "lattice_unimodular"),
+        (("lattice", "--check", "hamming", "--json"), "hamming_weight_enumerator"),
+        (("powers", "-n", "2", "--json"), "power_2_sum"),
+    ], ids=["verify", "lattice", "lattice-hamming", "powers"])
+    def test_list_of_report_dicts(self, capsys, argv, name):
+        code, out = run_cli(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 0
+        assert isinstance(payload, list)
+        keys = set(IdentityReport("any", True).to_dict())
+        assert all(set(entry) == keys for entry in payload)
+        assert all(entry["holds"] for entry in payload if not entry["informational"])
+        assert name in {entry["name"] for entry in payload}
+        if argv[0] == "powers":
+            assert [e["details"]["scalar"] for e in payload[:2]] == ["3", "sqrt(5)"]
 
 
 class TestProject:
