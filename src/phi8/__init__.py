@@ -18,7 +18,6 @@ _EXPORTS = {
     "constants": (
         "NAMED_MATRICES", "bracket_minus", "bracket_plus", "build_cmE8", "build_cmU",
         "build_hadamard", "build_J", "build_srE8", "build_U", "build_U_inv",
-        "resolve_matrix",
     ),
     "field": (
         "HALF", "ONE", "PHI", "SQRT5", "SQRT_PHI", "ZERO", "GoldenExt", "GoldenScalar",
@@ -29,7 +28,7 @@ _EXPORTS = {
         "Hamming84", "construction_a", "gen_e8_roots", "hadamard_code_correspondence",
         "hamming84",
     ),
-    "matrix": ("CharPoly", "ExactMatrix", "SingularMatrixError"),
+    "matrix": ("CharPoly", "ExactMatrix", "SingularMatrixError", "resolve_matrix"),
     "report": ("IdentityReport",),
     "roots": (
         "EnumerationRule", "RootRecord", "enumerate_roots", "hasse_edges", "summarize",

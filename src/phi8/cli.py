@@ -22,9 +22,8 @@ from pathlib import Path
 
 # build_parser and `dump FILE` need only field and matrix, each cmd_* imports
 # its module, and the vocabulary below is names, pinned by test_constants.py
-from .matrix import ExactMatrix
+from .matrix import MATRIX_NAMES, resolve_matrix
 
-MATRIX_NAMES = ("U", "Uinv", "cmU", "J", "H", "srE8", "cmE8", "Bplus", "Bminus")
 BASES = ("U", "cmU")
 VERIFIER_GROUP_NAMES = (
     "products", "golden-cartan", "row-reversed", "powers",
@@ -42,6 +41,8 @@ def _json_dump(obj: object) -> str:
 
 
 def _out_path(path: str) -> Path:
+    if not path:
+        raise ValueError("output path is empty")
     base = os.environ.get("PHI8_OUT_DIR")
     p = Path(path)
     if base and not p.is_absolute():
@@ -59,18 +60,6 @@ def _emit_reports(reports, as_json: bool) -> int:
     else:
         sys.stdout.write("\n".join(r.line() for r in reports) + "\n")
     return exit_code(reports)
-
-
-def _resolve_matrix(name: str) -> ExactMatrix:
-    """A file that is not a name, read without the builders; else constants.resolve_matrix."""
-    if name not in MATRIX_NAMES:
-        try:
-            return ExactMatrix.from_file(name)
-        except FileNotFoundError:
-            pass
-    from .constants import resolve_matrix
-
-    return resolve_matrix(name)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -95,14 +84,14 @@ def cmd_powers(args: argparse.Namespace) -> int:
 def cmd_roots(args: argparse.Namespace) -> int:
     from . import roots
 
-    matrix = _resolve_matrix(args.matrix)
+    matrix = resolve_matrix(args.matrix)
     rule = roots.EnumerationRule(args.mode, args.max_height, args.max_roots)
     records = roots.enumerate_roots(matrix, rule)
     summary = roots.summarize(records)
     listing = roots.event_listing(records) if args.no_dedup else records
-    if args.dot:
+    if args.dot is not None:
         _out_path(args.dot).write_text(roots.emit_hasse_dot(records))
-    if args.csv:
+    if args.csv is not None:
         _out_path(args.csv).write_text(roots.emit_csv(listing))
     if args.json:
         payload = dict(summary)
@@ -154,7 +143,7 @@ def cmd_project(args: argparse.Namespace) -> int:
         reports = hulls.tally_all(vset)
     else:
         reports = [hulls.analyze(vset, _parse_dims(args.dims))]
-    if args.csv:
+    if args.csv is not None:
         rows = ["dims,point_count,signature"]
         for rep in reports:
             rows.append(
@@ -163,7 +152,7 @@ def cmd_project(args: argparse.Namespace) -> int:
                 )
             )
         _out_path(args.csv).write_text("\n".join(rows) + "\n")
-    if args.obj:
+    if args.obj is not None:
         base = _out_path(args.obj)
         base.mkdir(parents=True, exist_ok=True)
         for rep in reports:
@@ -202,7 +191,7 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 
 def cmd_dump(args: argparse.Namespace) -> int:
-    matrix = _resolve_matrix(args.name)
+    matrix = resolve_matrix(args.name)
     sys.stdout.write(matrix.to_literal() + "\n")
     return 0
 

@@ -184,17 +184,3 @@ NAMED_MATRICES = {
 
 # bases for the hull vertices (`project --basis`)
 BASIS_BUILDERS = {"U": build_U, "cmU": build_cmU}
-
-
-def resolve_matrix(name_or_path: str) -> ExactMatrix:
-    """Named built-ins take precedence over file paths."""
-    builder = NAMED_MATRICES.get(name_or_path)
-    if builder is not None:
-        return builder()
-    try:
-        return ExactMatrix.from_file(name_or_path)
-    except FileNotFoundError:
-        raise ValueError(
-            f"{name_or_path!r} is neither a named matrix "
-            f"({', '.join(sorted(NAMED_MATRICES))}) nor a readable file"
-        ) from None

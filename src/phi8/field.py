@@ -179,7 +179,11 @@ class GoldenExt:
             return NotImplemented
 
     def __lt__(self, other: object) -> bool:
-        return (self - coerce(other)).sign() < 0
+        try:
+            other = coerce(other)
+        except TypeError:
+            return NotImplemented
+        return (self - other).sign() < 0
 
     def __hash__(self) -> int:
         c0, c1, c2, c3, d = self._n

@@ -7,6 +7,8 @@ powers share one inverse and one chain of squares.  Only the constructor
 coerces entries; results keep the plain ones they compute.  Work skips zero
 entries: a product is one sparse ``field.matmul``.  The characteristic
 polynomial uses the Faddeev-LeVerrier recursion, dividing only by integers.
+``resolve_matrix`` turns a built-in's name or a file path into a matrix,
+loading the builders only for a name.
 """
 from __future__ import annotations
 
@@ -210,6 +212,25 @@ class ExactMatrix:
 def _computed(rows: Iterable[Iterable[GoldenExt]]) -> ExactMatrix:
     """A result from square rows of computed GoldenExt entries: not coerced or checked again."""
     return object.__new__(ExactMatrix)._fill(tuple(map(tuple, rows)))
+
+
+# the keys of constants.NAMED_MATRICES, known here without loading the builders
+MATRIX_NAMES = ("U", "Uinv", "cmU", "J", "H", "srE8", "cmE8", "Bplus", "Bminus")
+
+
+def resolve_matrix(name_or_path: str) -> ExactMatrix:
+    """A named built-in, else the matrix file at that path: names take precedence."""
+    if name_or_path in MATRIX_NAMES:
+        from .constants import NAMED_MATRICES
+
+        return NAMED_MATRICES[name_or_path]()
+    try:
+        return ExactMatrix.from_file(name_or_path)
+    except FileNotFoundError:
+        raise ValueError(
+            f"{name_or_path!r} is neither a named matrix "
+            f"({', '.join(sorted(MATRIX_NAMES))}) nor a readable file"
+        ) from None
 
 
 class CharPoly(NamedTuple):

@@ -385,6 +385,28 @@ class TestMatrixFileFuzz:
                 assert err.getvalue().startswith("error: ")
 
 
+class TestEmptyOutputPath:
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("roots", "--max-height", "3", "--csv", ""),
+            ("roots", "--max-height", "3", "--dot", ""),
+            ("project", "--dims", "1,2,3", "--csv", ""),
+            ("project", "--dims", "1,2,3", "--obj", ""),
+        ),
+        ids=("roots-csv", "roots-dot", "project-csv", "project-obj"),
+    )
+    def test_usage_error_writes_nothing(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("PHI8_OUT_DIR", raising=False)
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: output path is empty\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestInternalError:
     def test_unexpected_exception_exits_three(self, capsys, monkeypatch):
         def broken():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from phi8 import cli, constants, identities, lattice, roots
+from phi8 import cli, constants, identities, lattice, matrix, roots
 from phi8.constants import (
     NAMED_MATRICES,
     bracket_minus,
@@ -15,10 +15,9 @@ from phi8.constants import (
     build_srE8,
     build_U,
     build_U_inv,
-    resolve_matrix,
 )
 from phi8.field import PHI, SQRT5, GoldenExt, GoldenScalar
-from phi8.matrix import ExactMatrix
+from phi8.matrix import ExactMatrix, resolve_matrix
 
 
 def scale(x):
@@ -154,12 +153,36 @@ class TestRegistry:
             m = resolve_matrix(name)
             assert m.n in (4, 8)
 
-    def test_resolve_prefers_names_then_files(self, tmp_path):
+    def test_resolve_prefers_names_then_files(self, tmp_path, monkeypatch):
         p = tmp_path / "tiny.txt"
         p.write_text("1; 0\n0; 1\n")
         assert resolve_matrix(str(p)) == ExactMatrix.identity(2)
+        # a file named like a built-in is shadowed by it
+        monkeypatch.chdir(tmp_path)
+        p.rename(tmp_path / "U")
+        assert resolve_matrix("U") is build_U()
         with pytest.raises(ValueError):
             resolve_matrix("no-such-matrix")
+
+    def test_missing_path_is_read_once(self, monkeypatch, capsys):
+        calls = []
+        read = ExactMatrix.from_file
+
+        def counting(path):
+            calls.append(path)
+            return read(path)
+
+        monkeypatch.setattr(ExactMatrix, "from_file", counting)
+        message = ("'no-such-file' is neither a named matrix "
+                   "(Bminus, Bplus, H, J, U, Uinv, cmE8, cmU, srE8) nor a readable file")
+        with pytest.raises(ValueError) as exc:
+            resolve_matrix("no-such-file")
+        assert str(exc.value) == message
+        assert calls == ["no-such-file"]
+        # the CLI goes through the same resolver: one more read, the same message
+        assert cli.main(["dump", "no-such-file"]) == 2
+        assert calls == ["no-such-file"] * 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_builders_return_one_shared_instance(self):
         assert build_U() is build_U()
@@ -167,7 +190,8 @@ class TestRegistry:
 
     def test_choice_names_match_registries(self):
         # the CLI offers these names without loading the registries
-        assert cli.MATRIX_NAMES == tuple(constants.NAMED_MATRICES)
+        assert matrix.MATRIX_NAMES == tuple(constants.NAMED_MATRICES)
+        assert cli.MATRIX_NAMES is matrix.MATRIX_NAMES
         assert cli.BASES == tuple(constants.BASIS_BUILDERS)
         assert cli.MODES == roots.MODES
         assert cli.MAX_ROOTS == roots.MAX_ROOTS

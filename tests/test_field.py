@@ -1,5 +1,6 @@
 """Exact scalar arithmetic in the golden field and its sqrt(phi) extension."""
 import math
+import operator
 from decimal import Decimal
 from fractions import Fraction
 
@@ -153,6 +154,16 @@ class TestCoercion:
                 call(x)
         else:
             assert call(x) == x
+
+    def test_order_defers_to_an_unknown_operand(self):
+        # a type coerce rejects gets its reflected comparison, as for == and +
+        class Stub:
+            __lt__ = __gt__ = __le__ = __ge__ = lambda self, other: "stub"
+
+        for compare in (operator.lt, operator.gt, operator.le, operator.ge):
+            assert compare(GoldenExt(1), Stub()) == "stub"
+            with pytest.raises(TypeError):
+                compare(GoldenExt(1), 0.5)
 
 
 any_elements = st.one_of(scalars, exts)

@@ -7,6 +7,7 @@ fractions either: below the API every number is the field's integers.  Each impo
 runs in a fresh interpreter with src/ first on PYTHONPATH, because this
 process has long since imported everything.
 """
+import ast
 import functools
 import subprocess
 import sys
@@ -141,6 +142,17 @@ class TestImportCost:
         loaded = loaded_by(*(a.format(tmp=tmp_path) for a in argv))
         assert {m for m in loaded if m.startswith("phi8.")} == modules
 
+    def test_missing_matrix_file_loads_no_builders(self):
+        # loaded_by wants exit 0, so this probe reads RUN_MAIN's report itself
+        proc = fresh_python(RUN_MAIN, "dump", "no-such-file")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        first, last = proc.stderr.splitlines()
+        assert first.startswith("error: 'no-such-file' is neither a named matrix")
+        assert last.startswith("loaded:")
+        assert {m for m in last.split()[1:] if m.startswith("phi8.")} == {
+            "phi8.cli", "phi8.field", "phi8.matrix"}
+
     def test_import_phi8_loads_no_submodule(self):
         proc = fresh_python(
             "import sys, phi8\n"
@@ -229,6 +241,19 @@ class TestPackageApi:
 
         assert all(type(v) is Fraction for v in phi8.gen_e8_roots()[0])
 
+    def test_one_matrix_resolver(self):
+        assert phi8.resolve_matrix is phi8.matrix.resolve_matrix
+        assert not hasattr(phi8.constants, "resolve_matrix")
+
+    def test_sources_parse_as_python_3_10(self):
+        # pyproject.toml's requires-python floor; Tier-1 itself runs on a later Python
+        for path in sorted((ROOT / "src" / "phi8").glob("*.py")):
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+        # positive control: the parse does reject 3.11's except*
+        with pytest.raises(SyntaxError):
+            ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
     def test_unknown_attribute_names_it(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             phi8.no_such_name
+
